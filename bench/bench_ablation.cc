@@ -7,9 +7,7 @@
 //   (d) chase-variant cost ladder on one KB (oblivious → core);
 //   (e) trigger keys: packed binding words versus the decimal-string keys
 //       the engine used before (identity + deterministic order for the
-//       scheduler);
-//   (f) incremental core maintenance versus full recomputation in the core
-//       chase.
+//       scheduler).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -215,38 +213,6 @@ int main() {
       }
       std::printf("  packed words:   %7.2fms (%zu distinct, checksum %zu)\n",
                   w.ElapsedMillis(), dedup, order_checksum);
-    }
-  }
-
-  std::printf("\nABL (f): core chase — incremental core maintenance vs full\n");
-  std::printf("%-22s %12s %8s %8s %12s %10s\n", "workload", "mode", "steps",
-              "time", "incremental", "fallbacks");
-  {
-    struct CoreCase {
-      const char* name;
-      bool elevator;
-      size_t max_steps;
-    };
-    for (const CoreCase& c :
-         {CoreCase{"staircase-core", false, 45},
-          CoreCase{"elevator-core", true, 60}}) {
-      for (bool incremental : {false, true}) {
-        ChaseOptions options;
-        options.variant = ChaseVariant::kCore;
-        options.limits.max_steps = c.max_steps;
-        options.keep_snapshots = false;
-        options.core.incremental_core = incremental;
-        Stopwatch w;
-        StaircaseWorld staircase;
-        ElevatorWorld elevator;
-        auto run = RunChase(c.elevator ? elevator.kb() : staircase.kb(),
-                            options);
-        if (!run.ok()) continue;
-        std::printf("%-22s %12s %8zu %7.2fs %12zu %10zu\n", c.name,
-                    incremental ? "incremental" : "full", run->steps,
-                    w.ElapsedSeconds(), run->stats.core_incremental,
-                    run->stats.core_fallbacks);
-      }
     }
   }
   return 0;

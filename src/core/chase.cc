@@ -1,7 +1,7 @@
 #include "core/chase.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -21,8 +21,6 @@
 #include "util/governor.h"
 #include "util/logging.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace twchase {
 
@@ -49,18 +47,6 @@ const char* ChaseVariantName(ChaseVariant variant) {
 Status ChaseOptions::Validate() const {
   if (core.core_every == 0) {
     return Status::InvalidArgument("core.core_every must be positive");
-  }
-  if (core.incremental_core &&
-      (core.core_every != 1 || core.core_at_round_end)) {
-    return Status::InvalidArgument(
-        "core.incremental_core requires core.core_every == 1 and "
-        "core.core_at_round_end == false");
-  }
-  if (resume.record_log && core.incremental_core) {
-    return Status::InvalidArgument(
-        "resume.record_log requires core.incremental_core == false: the "
-        "in-place fold order of the incremental path is not reproducible "
-        "from a resume log");
   }
   if (parallel.threads == 0) {
     return Status::InvalidArgument(
@@ -130,7 +116,8 @@ void RecordRetractionDelta(const Substitution& retraction,
 
 // Telemetry of one round's parallel sections (up to three: priming/naive
 // enumeration, erasure revalidation, seeded probes), aggregated for the
-// ParallelRoundEvent and ChaseStats.
+// ParallelRoundEvent and ChaseStats. Only sections that dispatched at least
+// one task to the pool count.
 struct RoundParallelStats {
   size_t sections = 0;
   size_t tasks = 0;
@@ -139,14 +126,15 @@ struct RoundParallelStats {
   double eval_ms = 0;
   double merge_ms = 0;
 
-  void NoteSection(const ParallelSectionStats& section, double section_merge_ms) {
+  void NoteSection(const ParallelSectionStats& section) {
+    if (section.tasks == 0) return;
     ++sections;
     tasks += section.tasks;
     workers_used = std::max(workers_used, section.workers_used);
     max_imbalance = std::max(
         max_imbalance, section.max_worker_tasks - section.min_worker_tasks);
     eval_ms += section.eval_ms;
-    merge_ms += section_merge_ms;
+    merge_ms += section.merge_ms;
   }
 };
 
@@ -177,6 +165,16 @@ struct ReplayCursor {
   size_t bit_index = 0;
   size_t step_index = 0;
   bool active = false;
+};
+
+// One coring's retraction, obtained live or from the resume log, before the
+// coring site commits it.
+struct Coring {
+  Substitution retraction;      // identity when certified
+  std::optional<AtomSet> core;  // the retract, when ComputeCore built it
+  size_t folds = 0;
+  bool certified = false;  // the still-core proof stood in for ComputeCore
+  bool aborted = false;    // the governor stopped ComputeCore; nothing moved
 };
 
 }  // namespace
@@ -213,7 +211,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   if (replay != nullptr && !replay->have_initial) replay = nullptr;
   Vocabulary* vocab = kb.vocab.get();
   const bool is_core = options.variant == ChaseVariant::kCore;
-  const bool use_incremental_core = is_core && options.core.incremental_core;
   const bool delta_on = options.delta.enabled;
   // The observer is a read-only tap; every emission site below is a single
   // untaken branch when no observer is attached.
@@ -312,8 +309,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // replayed retractions never certify (the base predates the replayed
   // mutations).
   const bool plan_on = options.plan.enabled;
-  const bool core_guard_on =
-      plan_on && options.plan.core_guard && is_core && !use_incremental_core;
+  const bool core_guard_on = plan_on && options.plan.core_guard && is_core;
   bool guard_base_established = false;
   uint32_t guard_base_mark = 0;
   std::vector<Atom> guard_atoms_since;
@@ -475,28 +471,81 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   const bool skip_dormant =
       plan_on && options.plan.skip_dormant && exec_plan.dormant_count > 0;
 
-  // Parallel trigger evaluation (core/parallel.h): with threads > 1 the
-  // match-establishment phase of each round fans its probes out over a
-  // fixed pool and merges the per-task candidate buffers back in the exact
-  // sequential order, so the run below — instance, journal, events — is
-  // bit-identical at any thread count. threads == 1 takes the untouched
-  // sequential branches (no pool is even constructed).
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<ParallelTriggerEval> peval;
-  if (options.parallel.threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.parallel.threads);
-    peval = std::make_unique<ParallelTriggerEval>(pool.get(), &governor);
-  }
+  // Match establishment runs as task lists (core/parallel.h): inline on
+  // this thread at threads == 1, fanned out over a fixed pool otherwise.
+  // Either way each section's results merge in task order, so the run
+  // below — instance, journal, events — is bit-identical at any thread
+  // count.
+  ParallelTriggerEval peval(options.parallel.threads, &governor);
+  HomOptions all_matches;
+  all_matches.limit = 0;
 
   DeltaIndex pending_delta;
   bool delta_primed = false;
   if (delta_on) current.EnableDeltaJournal();
 
-  size_t since_last_core = 0;
+  // Coring, shared by the per-application and the round-end site. Each
+  // site drains the delta journal, takes its retraction from the log
+  // (replayed_coring) or from the engine (live_coring), and commits it by
+  // its own rule: the per-application site always rebuilds unless the
+  // proof certified, the round-end site only on a proper retraction. Only
+  // live successes certify the guard base: a replayed retraction predates
+  // the replayed mutations.
+  auto live_coring = [&](RoundPlanStats* round_plan) {
+    Coring coring;
+    if (core_guard_on && guard_base_established && !governor.stopped()) {
+      ++result.stats.plan_core_proofs;
+      ++round_plan->core_proofs;
+      CoreGuardOutcome guard =
+          ProveStillCore(current, guard_atoms_since, guard_base_mark);
+      // An inner search the governor aborted can miss a refutation, so a
+      // stopped run never certifies: it falls through to ComputeCore,
+      // whose abort the site handles.
+      coring.certified = guard.certified && !governor.stopped();
+    }
+    if (coring.certified) {
+      // Proven still a core: ComputeCore would have returned the instance
+      // itself with an identity retraction and zero folds, which is
+      // exactly what `coring` holds, so records and events are
+      // bit-identical to the unguarded run.
+      ++result.stats.plan_core_certified;
+      ++round_plan->core_certified;
+    } else {
+      CoreResult cored = ComputeCore(current);
+      // Aborted mid-search: the partial retraction is not a retraction of
+      // anything.
+      if (governor.stopped()) {
+        coring.aborted = true;
+        return coring;
+      }
+      ++result.stats.core_full;
+      coring.retraction = std::move(cored.retraction);
+      coring.core = std::move(cored.core);
+      coring.folds = cored.folds;
+    }
+    note_certified();
+    return coring;
+  };
+  auto replayed_coring = [&](const Substitution& retraction, size_t folds) {
+    ++result.stats.core_full;
+    Coring coring;
+    coring.retraction = retraction;
+    coring.folds = folds;
+    return coring;
+  };
+  // Replaces `current` by its retract under coring.retraction (the one
+  // ComputeCore built, or the image computed here) and records the effect
+  // into the delta index.
+  auto rebuild = [&](Coring& coring) {
+    if (delta_on) {
+      RecordRetractionDelta(coring.retraction, current, &pending_delta);
+    }
+    current = coring.core.has_value() ? std::move(*coring.core)
+                                      : coring.retraction.Apply(current);
+    if (delta_on) current.EnableDeltaJournal();
+  };
 
-  // Dirty-term fold state threaded through successive incremental core
-  // updates (hom/core.h); the update itself clears it on cascade fallback.
-  IncrementalCoreState inc_core_state;
+  size_t since_last_core = 0;
 
   while (result.steps < options.limits.max_steps) {
     if (governor.ShouldStop(FaultSite::kRoundBoundary)) {
@@ -519,29 +568,22 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     // rule's matches (minus retired ones, which are inactive by
     // construction) are exactly its triggers for `current`.
     if (!delta_on || !delta_primed) {
-      if (peval != nullptr) {
-        // One task per rule; results land in per-rule slots and merge in
-        // rule order, which is exactly the sequential loop's order (the
-        // enumeration within a rule is the deterministic hom-search order
-        // either way).
-        std::vector<std::vector<CandidateMatch>> slots(kb.rules.size());
-        ParallelSectionStats section;
-        const bool complete = peval->Run(
-            kb.rules.size(),
-            [&](size_t r) {
-              // A dormant rule's enumeration is guaranteed empty — skip the
-              // search, leave the slot empty.
-              if (skip_dormant && exec_plan.dormant[r]) return size_t{0};
-              slots[r] = EnumerateRuleCandidates(kb.rules[r], current);
-              return ApproxCandidateBytes(slots[r]);
-            },
-            &section);
-        if (complete) {
-          Stopwatch merge_timer;
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
+      // One task per rule, merged in rule order (the enumeration within a
+      // rule is the deterministic hom-search order).
+      ParallelSectionStats section;
+      peval.Run<std::vector<CandidateMatch>>(
+          kb.rules.size(),
+          [&](size_t r, std::vector<CandidateMatch>* candidates) {
+            // A dormant rule's enumeration is guaranteed empty.
+            if (skip_dormant && exec_plan.dormant[r]) return size_t{0};
+            *candidates = KeyCandidates(
+                FindAllHomomorphisms(kb.rules[r].body(), current, all_matches));
+            return ApproxCandidateBytes(*candidates);
+          },
+          [&](size_t r, std::vector<CandidateMatch>& candidates) {
             RuleState& state = rule_states[r];
             state.matches.clear();
-            for (CandidateMatch& candidate : slots[r]) {
+            for (CandidateMatch& candidate : candidates) {
               if (delta_on) state.match_keys.insert(candidate.key);
               state.matches.push_back(StoredMatch{std::move(candidate.match),
                                                   std::move(candidate.key)});
@@ -552,31 +594,9 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
             } else {
               ++result.stats.full_enumerations;
             }
-          }
-          round_par.NoteSection(section, merge_timer.ElapsedMillis());
-        }
-        // Incomplete sections adopted a stop into the governor; the partial
-        // slots are dropped and the stopped() check below ends the run.
-      } else {
-        for (size_t r = 0; r < kb.rules.size(); ++r) {
-          RuleState& state = rule_states[r];
-          state.matches.clear();
-          if (skip_dormant && exec_plan.dormant[r]) {
-            // The enumeration is guaranteed empty for a dormant rule.
-            ++result.stats.plan_enumerations_skipped;
-            ++round_plan.enumerations_skipped;
-            continue;
-          }
-          for (Trigger& tr :
-               FindTriggers(kb.rules[r], static_cast<int>(r), current)) {
-            PackedBindings key = PackedBindings::FromMatch(tr.match);
-            if (delta_on) state.match_keys.insert(key);
-            state.matches.push_back(
-                StoredMatch{std::move(tr.match), std::move(key)});
-          }
-          ++result.stats.full_enumerations;
-        }
-      }
+          },
+          &section);
+      round_par.NoteSection(section);
       delta_primed = true;
     } else {
       pending_delta.Absorb(current.DrainDelta());
@@ -597,52 +617,47 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           }
           return false;
         };
-        auto still_valid = [&](size_t r, const StoredMatch& stored) {
-          return !MatchImageTouchesErased(kb.rules[r], stored.match,
-                                          pending_delta) ||
-                 IsTriggerFor(kb.rules[r], stored.match, current);
+        // One task per chunk of a touched rule's matches. The merge
+        // compacts each rule in (rule, index) order — key erasures,
+        // counters, retire events and all; it only moves matches of chunks
+        // already evaluated, so the inline runner may interleave.
+        struct RevalChunk {
+          size_t rule;
+          size_t begin;
+          size_t end;
         };
-        if (peval != nullptr) {
-          // Each chunk writes a disjoint range of one rule's valid[] bytes;
-          // the compaction below then replays the sequential (rule, index)
-          // order — key erasures, counters, retire events and all.
-          struct RevalChunk {
-            size_t rule;
-            size_t begin;
-            size_t end;
-          };
-          constexpr size_t kRevalChunk = 32;
-          std::vector<RevalChunk> chunks;
-          std::vector<std::vector<uint8_t>> valid(kb.rules.size());
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            const size_t count = rule_states[r].matches.size();
-            valid[r].assign(count, 1);
-            if (!rule_touched_by_erasure(r)) continue;
-            for (size_t b = 0; b < count; b += kRevalChunk) {
-              chunks.push_back(
-                  RevalChunk{r, b, std::min(b + kRevalChunk, count)});
-            }
+        constexpr size_t kRevalChunk = 32;
+        std::vector<RevalChunk> chunks;
+        for (size_t r = 0; r < kb.rules.size(); ++r) {
+          if (!rule_touched_by_erasure(r)) continue;
+          const size_t count = rule_states[r].matches.size();
+          for (size_t b = 0; b < count; b += kRevalChunk) {
+            chunks.push_back(
+                RevalChunk{r, b, std::min(b + kRevalChunk, count)});
           }
-          ParallelSectionStats section;
-          const bool complete = peval->Run(
-              chunks.size(),
-              [&](size_t t) {
-                const RevalChunk& chunk = chunks[t];
-                const RuleState& state = rule_states[chunk.rule];
-                for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                  valid[chunk.rule][i] =
-                      still_valid(chunk.rule, state.matches[i]) ? 1 : 0;
-                }
-                return size_t{0};
-              },
-              &section);
-          if (complete) {
-            Stopwatch merge_timer;
-            for (size_t r = 0; r < kb.rules.size(); ++r) {
-              RuleState& state = rule_states[r];
-              size_t kept = 0;
-              for (size_t i = 0; i < state.matches.size(); ++i) {
-                if (valid[r][i] != 0) {
+        }
+        size_t kept = 0;
+        ParallelSectionStats section;
+        peval.Run<std::vector<uint8_t>>(
+            chunks.size(),
+            [&](size_t t, std::vector<uint8_t>* valid) {
+              const RevalChunk& chunk = chunks[t];
+              const Rule& rule = kb.rules[chunk.rule];
+              const RuleState& state = rule_states[chunk.rule];
+              for (size_t i = chunk.begin; i < chunk.end; ++i) {
+                const Substitution& match = state.matches[i].match;
+                valid->push_back(
+                    !MatchImageTouchesErased(rule, match, pending_delta) ||
+                    IsTriggerFor(rule, match, current));
+              }
+              return size_t{0};
+            },
+            [&](size_t t, std::vector<uint8_t>& valid) {
+              const RevalChunk& chunk = chunks[t];
+              RuleState& state = rule_states[chunk.rule];
+              if (chunk.begin == 0) kept = 0;
+              for (size_t i = chunk.begin; i < chunk.end; ++i) {
+                if (valid[i - chunk.begin] != 0) {
                   if (kept != i) {
                     state.matches[kept] = std::move(state.matches[i]);
                   }
@@ -652,77 +667,49 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                   ++result.stats.matches_invalidated;
                   ++repair.matches_invalidated;
                   if (obs != nullptr) {
-                    obs->OnTriggerRetired({result.rounds, static_cast<int>(r),
-                                           TriggerRetireReason::kInvalidated});
+                    obs->OnTriggerRetired(
+                        {result.rounds, static_cast<int>(chunk.rule),
+                         TriggerRetireReason::kInvalidated});
                   }
                 }
               }
-              state.matches.resize(kept);
-            }
-            round_par.NoteSection(section, merge_timer.ElapsedMillis());
-          }
-        } else {
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            RuleState& state = rule_states[r];
-            if (!rule_touched_by_erasure(r)) continue;
-            size_t kept = 0;
-            for (size_t i = 0; i < state.matches.size(); ++i) {
-              if (still_valid(r, state.matches[i])) {
-                if (kept != i) state.matches[kept] = std::move(state.matches[i]);
-                ++kept;
-              } else {
-                state.match_keys.erase(state.matches[i].key);
-                ++result.stats.matches_invalidated;
-                ++repair.matches_invalidated;
-                if (obs != nullptr) {
-                  obs->OnTriggerRetired(
-                      {result.rounds, static_cast<int>(r),
-                       TriggerRetireReason::kInvalidated});
-                }
+              if (chunk.end == state.matches.size()) {
+                state.matches.resize(kept);
               }
-            }
-            state.matches.resize(kept);
-          }
-        }
+            },
+            &section);
+        round_par.NoteSection(section);
       }
-      if (peval != nullptr && !governor.stopped()) {
-        // One task per (inserted fact, rule) pair, listed with the exact
-        // filters of the sequential loop; the merge then performs the same
-        // counted probes and key-deduplicated inserts in the same order.
-        struct ProbeTask {
-          const Atom* fact;
-          size_t rule;
-        };
-        std::vector<ProbeTask> probes;
-        for (const Atom& fact : pending_delta.inserted()) {
-          // An atom inserted and erased again within the round yields no
-          // matches (the probe pins a body atom's image to it).
-          if (!current.Contains(fact)) continue;
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            if (!rule_states[r].body_predicates.contains(fact.predicate())) {
-              continue;
-            }
+      // One task per (inserted fact, rule) pair; the merge performs the
+      // counted, key-deduplicated inserts in task order.
+      struct ProbeTask {
+        const Atom* fact;
+        size_t rule;
+      };
+      std::vector<ProbeTask> probes;
+      for (const Atom& fact : pending_delta.inserted()) {
+        // An atom inserted and erased again within the round yields no
+        // matches (the probe pins a body atom's image to it).
+        if (!current.Contains(fact)) continue;
+        for (size_t r = 0; r < kb.rules.size(); ++r) {
+          if (rule_states[r].body_predicates.contains(fact.predicate())) {
             probes.push_back(ProbeTask{&fact, r});
           }
         }
-        std::vector<std::vector<CandidateMatch>> slots(probes.size());
-        ParallelSectionStats section;
-        const bool complete = peval->Run(
-            probes.size(),
-            [&](size_t t) {
-              // A dormant rule's probe is guaranteed empty — skip the
-              // search, leave the slot empty.
-              if (skip_dormant && exec_plan.dormant[probes[t].rule]) {
-                return size_t{0};
-              }
-              slots[t] = SeededProbeCandidates(kb.rules[probes[t].rule],
-                                               *probes[t].fact, current);
-              return ApproxCandidateBytes(slots[t]);
-            },
-            &section);
-        if (complete) {
-          Stopwatch merge_timer;
-          for (size_t t = 0; t < probes.size(); ++t) {
+      }
+      ParallelSectionStats section;
+      peval.Run<std::vector<CandidateMatch>>(
+          probes.size(),
+          [&](size_t t, std::vector<CandidateMatch>* candidates) {
+            // A dormant rule's probe is guaranteed empty.
+            if (skip_dormant && exec_plan.dormant[probes[t].rule]) {
+              return size_t{0};
+            }
+            *candidates = KeyCandidates(FindSeededMatches(
+                kb.rules[probes[t].rule], *probes[t].fact, current));
+            return ApproxCandidateBytes(*candidates);
+          },
+          [&](size_t t, std::vector<CandidateMatch>& candidates) {
             RuleState& state = rule_states[probes[t].rule];
             // Skipped probes stay accounted: the DeltaRepairEvent payload
             // (and the seed_probes counters) must not depend on the planner.
@@ -732,45 +719,16 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
               ++result.stats.plan_probes_skipped;
               ++round_plan.probes_skipped;
             }
-            for (CandidateMatch& candidate : slots[t]) {
+            for (CandidateMatch& candidate : candidates) {
               if (state.match_keys.insert(candidate.key).second) {
                 state.matches.push_back(StoredMatch{std::move(candidate.match),
                                                     std::move(candidate.key)});
                 ++repair.matches_added;
               }
             }
-          }
-          round_par.NoteSection(section, merge_timer.ElapsedMillis());
-        }
-      } else if (peval == nullptr) {
-        for (const Atom& fact : pending_delta.inserted()) {
-          // An atom inserted and erased again within the round yields no
-          // matches (the probe pins a body atom's image to it).
-          if (!current.Contains(fact)) continue;
-          for (size_t r = 0; r < kb.rules.size(); ++r) {
-            RuleState& state = rule_states[r];
-            if (!state.body_predicates.contains(fact.predicate())) continue;
-            // Skipped probes stay accounted: the DeltaRepairEvent payload
-            // (and the seed_probes counters) must not depend on the planner.
-            ++result.stats.seed_probes;
-            ++repair.seed_probes;
-            if (skip_dormant && exec_plan.dormant[r]) {
-              ++result.stats.plan_probes_skipped;
-              ++round_plan.probes_skipped;
-              continue;
-            }
-            for (Substitution& m :
-                 FindSeededMatches(kb.rules[r], fact, current)) {
-              PackedBindings key = PackedBindings::FromMatch(m);
-              if (state.match_keys.insert(key).second) {
-                state.matches.push_back(
-                    StoredMatch{std::move(m), std::move(key)});
-                ++repair.matches_added;
-              }
-            }
-          }
-        }
-      }
+          },
+          &section);
+      round_par.NoteSection(section);
       if (plan_on) {
         round_plan.active_strata = CountActiveStrata(
             exec_plan, plan_body_predicates, pending_delta.InsertedPredicates());
@@ -795,7 +753,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       if (obs != nullptr) {
         ParallelRoundEvent par_event;
         par_event.round = result.rounds;
-        par_event.threads = peval->threads();
+        par_event.threads = peval.threads();
         par_event.sections = round_par.sections;
         par_event.tasks = round_par.tasks;
         par_event.workers_used = round_par.workers_used;
@@ -840,10 +798,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
 
     bool progressed = false;
-    // Set when replay hits the end of a round record that carries a
-    // committed round-end coring: the recorded run left its trigger loop
-    // early (step budget or size guard) and then amended — follow it.
-    bool replay_round_cut = false;
     Substitution sigma_round;  // composition of simplifications this round
     for (const PendingTrigger& p : pending) {
       if (result.steps >= options.limits.max_steps) break;
@@ -862,7 +816,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           replaying_this = true;
           replay_bit = rr.decisions[cursor.bit_index++] != 0;
         } else if (rr.have_round_end) {
-          replay_round_cut = true;
+          // The recorded run left its trigger loop early (step budget or
+          // size guard) and then cored at round end: follow it there.
           break;
         } else {
           go_live();
@@ -977,9 +932,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
       Substitution sigma;
       std::vector<Substitution> fold_sigmas;
-      size_t core_folds = 0;
-      bool have_core_event = false;
-      bool application_aborted = false;
       CoreRetractionEvent core_event;
       const bool do_core = is_core && !options.core.core_at_round_end &&
                            ++since_last_core >= options.core.core_every;
@@ -994,91 +946,27 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
       if (do_core) {
         core_event.size_before = current.size();
-        if (use_incremental_core) {
-          // In-place maintenance mutates as it folds; an interruption would
-          // leave a half-folded instance, so the whole update is atomic
-          // (polls inside are masked).
-          GovernorAtomicSection atomic_update;
-          IncrementalCoreOptions inc_options;
-          inc_options.dirty_radius = options.core.dirty_radius;
-          IncrementalCoreResult inc =
-              IncrementalCoreUpdate(&current, application.added_atoms,
-                                    inc_options, &inc_core_state);
-          sigma = std::move(inc.retraction);
-          if (inc.fell_back) {
-            ++result.stats.core_fallbacks;
-          } else {
-            ++result.stats.core_incremental;
+        if (delta_on) pending_delta.Absorb(current.DrainDelta());
+        Coring coring = step_record != nullptr
+                            ? replayed_coring(step_record->sigma,
+                                              step_record->folds)
+                            : live_coring(&round_plan);
+        if (coring.aborted) {
+          // Roll the application back to the last committed step (its
+          // added atoms are exactly what it inserted; everything else is
+          // untouched).
+          for (const Atom& atom : application.added_atoms) {
+            current.Erase(atom);
           }
-          core_event.incremental = true;
-          core_event.fell_back = inc.fell_back;
-          core_event.folds = inc.folds;
-        } else if (step_record != nullptr) {
-          // Replay the recorded retraction through the same mutation
-          // sequence as live coring (drain, record delta, rebuild): the
-          // resulting instance, journal and delta state are identical.
-          if (delta_on) pending_delta.Absorb(current.DrainDelta());
-          if (delta_on) {
-            RecordRetractionDelta(step_record->sigma, current, &pending_delta);
-          }
-          current = step_record->sigma.Apply(current);
-          if (delta_on) current.EnableDeltaJournal();
-          sigma = step_record->sigma;
-          ++result.stats.core_full;
-          core_event.folds = step_record->folds;
-        } else {
-          if (delta_on) pending_delta.Absorb(current.DrainDelta());
-          bool guard_certified = false;
-          if (core_guard_on && guard_base_established && !governor.stopped()) {
-            ++result.stats.plan_core_proofs;
-            ++round_plan.core_proofs;
-            CoreGuardOutcome guard =
-                ProveStillCore(current, guard_atoms_since, guard_base_mark);
-            // An inner search the governor aborted can miss a refutation,
-            // so a stopped run never certifies: it falls through to
-            // ComputeCore, whose abort path rolls the application back.
-            guard_certified = guard.certified && !governor.stopped();
-          }
-          if (guard_certified) {
-            // Proven still a core without folding anything: ComputeCore
-            // would have returned the instance itself with an empty
-            // retraction and zero folds, so leaving `current` in place
-            // (its journal survives the drain) with `sigma` empty
-            // reproduces the unguarded records and events bit for bit.
-            ++result.stats.plan_core_certified;
-            ++round_plan.core_certified;
-            if (delta_on) current.EnableDeltaJournal();
-            core_event.folds = 0;
-            note_certified();
-          } else {
-            CoreResult cored = ComputeCore(current);
-            if (governor.stopped()) {
-              // Coring aborted mid-search: discard it and roll the
-              // application back to the last committed step (its added atoms
-              // are exactly what it inserted; everything else is untouched).
-              for (const Atom& atom : application.added_atoms) {
-                current.Erase(atom);
-              }
-              application_aborted = true;
-            } else {
-              if (delta_on) {
-                RecordRetractionDelta(cored.retraction, current,
-                                      &pending_delta);
-              }
-              current = std::move(cored.core);
-              if (delta_on) current.EnableDeltaJournal();
-              sigma = std::move(cored.retraction);
-              ++result.stats.core_full;
-              core_event.folds = cored.folds;
-              note_certified();
-            }
-          }
+          budget_stop = true;
+          break;
         }
-        if (!application_aborted) {
-          core_event.size_after = current.size();
-          have_core_event = true;
-          core_folds = core_event.folds;
-        }
+        // A certified instance stays in place; its journal survived the
+        // drain.
+        if (!coring.certified) rebuild(coring);
+        sigma = std::move(coring.retraction);
+        core_event.folds = coring.folds;
+        core_event.size_after = current.size();
       } else if (options.variant == ChaseVariant::kFrugal &&
                  !rule.existential().empty()) {
         if (step_record != nullptr) {
@@ -1101,10 +989,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           sigma = FoldVariablesKeepingRestFixed(
               &current, fresh, rec != nullptr ? &fold_sigmas : nullptr);
         }
-      }
-      if (application_aborted) {
-        budget_stop = true;
-        break;
       }
       if (match == &composed) {
         result.derivation.AddStep(p.rule_index, rule.label(),
@@ -1132,7 +1016,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         step_rec.sigma = sigma;
         step_rec.fold_sigmas = std::move(fold_sigmas);
         step_rec.cored = do_core;
-        step_rec.folds = core_folds;
+        step_rec.folds = core_event.folds;
         rec->steps.push_back(std::move(step_rec));
         rec->committed_num_variables = vocab->num_variables();
       }
@@ -1153,7 +1037,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         applied.instance_size = current.size();
         applied.instance = &current;
         obs->OnTriggerApplied(applied);
-        if (have_core_event) {
+        if (do_core) {
           core_event.step = result.steps;
           obs->OnCoreRetraction(core_event);
         }
@@ -1167,116 +1051,46 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       }
     }
     if (budget_stop || !replay_error.ok()) break;
-    (void)replay_round_cut;  // consumed by the round-end replay below
     if (is_core && options.core.core_at_round_end && progressed) {
-      bool round_end_handled = false;
+      const ResumeLog::RoundRecord* recorded = nullptr;
       if (cursor.active) {
-        const ResumeLog::RoundRecord& rr =
-            cursor.log->rounds[cursor.round_index];
-        if (rr.have_round_end) {
-          // Same mutation sequence as the live path: unconditional drain,
-          // then record/rebuild/amend only for a proper retraction.
-          if (delta_on) pending_delta.Absorb(current.DrainDelta());
-          size_t size_before = current.size();
-          if (!rr.round_end_sigma.IsIdentity()) {
-            if (delta_on) {
-              RecordRetractionDelta(rr.round_end_sigma, current,
-                                    &pending_delta);
-            }
-            current = rr.round_end_sigma.Apply(current);
-            if (delta_on) current.EnableDeltaJournal();
-            result.derivation.AmendLastSimplification(rr.round_end_sigma,
-                                                      current);
-          }
-          ++result.stats.core_full;
-          if (rec != nullptr) {
-            rec->rounds.back().have_round_end = true;
-            rec->rounds.back().round_end_sigma = rr.round_end_sigma;
-            rec->rounds.back().round_end_folds = rr.round_end_folds;
-          }
-          if (obs != nullptr) {
-            CoreRetractionEvent retraction;
-            retraction.step = result.steps;
-            retraction.folds = rr.round_end_folds;
-            retraction.size_before = size_before;
-            retraction.size_after = current.size();
-            obs->OnCoreRetraction(retraction);
-          }
-          round_end_handled = true;
-        } else {
+        recorded = &cursor.log->rounds[cursor.round_index];
+        if (!recorded->have_round_end) {
           // The recorded run stopped at this round-end coring boundary;
           // resume runs it live.
+          recorded = nullptr;
           go_live();
         }
       }
-      if (!round_end_handled && replay_error.ok()) {
+      if (replay_error.ok()) {
         if (delta_on) pending_delta.Absorb(current.DrainDelta());
-        size_t size_before = current.size();
-        bool guard_certified = false;
-        if (core_guard_on && guard_base_established && !governor.stopped()) {
-          ++result.stats.plan_core_proofs;
-          ++round_plan.core_proofs;
-          CoreGuardOutcome guard =
-              ProveStillCore(current, guard_atoms_since, guard_base_mark);
-          // A governor-aborted inner search can miss a refutation, so a
-          // stopped run never certifies and takes the ComputeCore branch,
-          // whose abort handling is unchanged.
-          guard_certified = guard.certified && !governor.stopped();
-        }
-        if (guard_certified) {
-          // Zero-fold round end, synthesised: an identity retraction skips
-          // the record/rebuild/amend exactly as the unguarded path does, so
-          // the record and event below are bit-identical to it.
-          ++result.stats.plan_core_certified;
-          ++round_plan.core_certified;
-          note_certified();
+        const size_t size_before = current.size();
+        Coring coring = recorded != nullptr
+                            ? replayed_coring(recorded->round_end_sigma,
+                                              recorded->round_end_folds)
+                            : live_coring(&round_plan);
+        if (coring.aborted) {
+          // Nothing was mutated: the round's committed applications stand,
+          // the amendment simply has not happened yet (resume re-runs it).
+          budget_stop = true;
+        } else {
+          if (!coring.retraction.IsIdentity()) {
+            rebuild(coring);
+            result.derivation.AmendLastSimplification(coring.retraction,
+                                                      current);
+          }
           if (rec != nullptr) {
             rec->rounds.back().have_round_end = true;
-            rec->rounds.back().round_end_sigma = Substitution();
-            rec->rounds.back().round_end_folds = 0;
+            rec->rounds.back().round_end_sigma = coring.retraction;
+            rec->rounds.back().round_end_folds = coring.folds;
           }
           if (obs != nullptr) {
             CoreRetractionEvent retraction;
             retraction.step = result.steps;
-            retraction.folds = 0;
+            retraction.folds = coring.folds;
             retraction.size_before = size_before;
             retraction.size_after = current.size();
             obs->OnCoreRetraction(retraction);
-          }
-        } else {
-          CoreResult cored = ComputeCore(current);
-          if (governor.stopped()) {
-            // Aborted mid-search; nothing was mutated — the round's
-            // committed applications stand, the amendment simply has not
-            // happened yet (resume re-runs it).
-            budget_stop = true;
-          } else {
-            ++result.stats.core_full;
-            size_t round_end_folds = cored.folds;
-            if (!cored.retraction.IsIdentity()) {
-              if (delta_on) {
-                RecordRetractionDelta(cored.retraction, current,
-                                      &pending_delta);
-              }
-              current = std::move(cored.core);
-              if (delta_on) current.EnableDeltaJournal();
-              result.derivation.AmendLastSimplification(cored.retraction,
-                                                        current);
-            }
-            note_certified();
-            if (rec != nullptr) {
-              rec->rounds.back().have_round_end = true;
-              rec->rounds.back().round_end_sigma = cored.retraction;
-              rec->rounds.back().round_end_folds = round_end_folds;
-            }
-            if (obs != nullptr) {
-              CoreRetractionEvent retraction;
-              retraction.step = result.steps;
-              retraction.folds = round_end_folds;
-              retraction.size_before = size_before;
-              retraction.size_after = current.size();
-              obs->OnCoreRetraction(retraction);
-            }
           }
         }
       }

@@ -78,7 +78,9 @@ struct ChaseOptions {
     CancelToken cancel;
   };
 
-  /// Coring schedule (core chase only; ignored by the other variants).
+  /// Coring schedule (core chase only; ignored by the other variants). Each
+  /// coring recomputes the core of the whole instance (hom/core.h), unless
+  /// plan.core_guard proves the instance is still a core.
   struct CoreOptions {
     /// Retract to a core after every k-th application (the paper allows any
     /// finite spacing; 1 = after every application).
@@ -95,21 +97,6 @@ struct ChaseOptions {
     /// Also core the initial fact set (the core chase does; other variants
     /// keep F as-is).
     bool core_initial = true;
-
-    /// Maintain the core incrementally after each application (fold only
-    /// variables within dirty_radius of the new atoms, then verify the
-    /// rest) instead of recomputing from scratch; falls back to a full
-    /// ComputeCore when a fold cascades or verification finds a distant
-    /// fold. Requires core_every == 1 and core_at_round_end == false
-    /// (Validate rejects other combinations). The instance is still a core
-    /// after every application, but the chosen folds — and hence null names
-    /// and trigger order — may differ from the full recomputation, so runs
-    /// agree only up to isomorphism. Off by default.
-    bool incremental_core = false;
-
-    /// Incremental core: BFS radius (in atom hops from the added atoms'
-    /// terms) defining the dirty variables eligible for folding.
-    size_t dirty_radius = 2;
   };
 
   /// Semi-naive (delta-driven) trigger generation.
@@ -127,13 +114,13 @@ struct ChaseOptions {
   struct ParallelOptions {
     /// Worker threads for the match-establishment phase of each round (the
     /// priming/naive enumerations, the post-erasure revalidation and the
-    /// delta-seeded probes), calling thread included. 1 (the default) runs
-    /// the untouched sequential path — no pool is created, no code path
-    /// changes. Any N produces bit-identical results (instance, derivation
-    /// journal, observer event stream): candidates are computed in
-    /// per-task slots and merged in the exact sequential order. 0 is
-    /// rejected by Validate(). The CLI defaults its --threads flag to the
-    /// hardware concurrency; the library default stays sequential.
+    /// delta-seeded probes), calling thread included. Every N runs the same
+    /// task lists and merges their results in task order; 1 (the default)
+    /// works inline on the calling thread with no pool, N > 1 evaluates the
+    /// tasks on a pool of N first. Any N produces bit-identical results
+    /// (instance, derivation journal, observer event stream). 0 is rejected
+    /// by Validate(). The CLI defaults its --threads flag to the hardware
+    /// concurrency; the library default stays 1.
     size_t threads = 1;
   };
 
@@ -189,9 +176,7 @@ struct ChaseOptions {
     /// Record the resume log (per-round decision bits and recorded coring
     /// retractions) alongside the derivation, so a checkpoint can be
     /// written from the result. Off by default (the log costs memory
-    /// proportional to the run). Incompatible with core.incremental_core:
-    /// the in-place fold order of the incremental path is not reproducible
-    /// from the log, and incremental runs are only iso-equivalent anyway.
+    /// proportional to the run).
     bool record_log = false;
   };
 
@@ -217,14 +202,9 @@ struct ChaseOptions {
   ChaseObserver* observer = nullptr;
 
   /// Rejects inconsistent option combinations (core_every == 0,
-  /// incremental_core with an unsupported coring schedule, resume
-  /// recording with incremental_core, parallel.threads == 0, ...).
-  /// RunChase validates first and surfaces the same Status.
+  /// parallel.threads == 0, an unresolved auto variant). RunChase
+  /// validates first and surfaces the same Status.
   Status Validate() const;
-
-  // The deprecated flat accessors (max_steps() et al.) that bridged the
-  // PR-2 regrouping were removed after their one-release grace period; use
-  // the nested groups (limits.max_steps, core.core_every, delta.enabled).
 };
 
 /// Evaluation counters, for benchmarks and the ablation tables. Not part of
@@ -248,20 +228,14 @@ struct ChaseStats {
   /// Stored matches dropped because an atom of their image was erased.
   size_t matches_invalidated = 0;
 
-  /// Full ComputeCore invocations.
+  /// Full ComputeCore invocations (replayed corings included).
   size_t core_full = 0;
-
-  /// Incremental core updates that completed without falling back.
-  size_t core_incremental = 0;
-
-  /// Incremental core updates that fell back to a full recomputation.
-  size_t core_fallbacks = 0;
 
   /// Largest |F_i| seen.
   size_t peak_instance_size = 0;
 
   /// Parallel evaluation telemetry (all zero when parallel.threads == 1).
-  /// Rounds that ran at least one parallel section.
+  /// Rounds that dispatched at least one task to the pool.
   size_t parallel_rounds = 0;
 
   /// Tasks dispatched to the pool, summed over sections (a task is one

@@ -4,19 +4,21 @@
 #include <atomic>
 #include <optional>
 
-#include "core/trigger.h"
 #include "hom/matcher.h"
-#include "kb/rule.h"
 #include "util/fault.h"
-#include "util/stopwatch.h"
 
 namespace twchase {
 
-bool ParallelTriggerEval::Run(size_t tasks,
-                              const std::function<size_t(size_t)>& fn,
-                              ParallelSectionStats* stats) {
-  if (stats != nullptr) *stats = ParallelSectionStats{};
-  if (tasks == 0) return !governor_->stopped();
+ParallelTriggerEval::ParallelTriggerEval(size_t threads,
+                                         ResourceGovernor* governor)
+    : governor_(governor) {
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
+}
+
+bool ParallelTriggerEval::Dispatch(size_t tasks,
+                                   const std::function<size_t(size_t)>& fn,
+                                   ParallelSectionStats* stats) {
+  if (tasks == 0 || governor_->stopped()) return false;
 
   Stopwatch timer;
   const size_t workers = pool_->threads();
@@ -52,7 +54,7 @@ bool ParallelTriggerEval::Run(size_t tasks,
     // Fault-injection visit counts are part of deterministic test schedules
     // and the injector is thread-local to the test's thread; workers must
     // not consume visits in scheduling-dependent order. Injection therefore
-    // covers only the sequential path (threads == 1).
+    // covers only the inline runner (threads == 1).
     FaultInjectorScope no_faults(nullptr);
     for (;;) {
       if (abort.load(std::memory_order_relaxed)) break;
@@ -74,27 +76,24 @@ bool ParallelTriggerEval::Run(size_t tasks,
     }
   });
 
-  if (stats != nullptr) {
-    stats->tasks = tasks;
-    stats->result_bytes = result_bytes.load(std::memory_order_relaxed);
-    stats->eval_ms = timer.ElapsedMillis();
-    size_t used = 0;
-    size_t max_tasks = 0;
-    size_t min_tasks = tasks;
-    for (size_t count : worker_tasks) {
-      if (count == 0) continue;
-      ++used;
-      max_tasks = std::max(max_tasks, count);
-      min_tasks = std::min(min_tasks, count);
-    }
-    stats->workers_used = used;
-    stats->max_worker_tasks = max_tasks;
-    stats->min_worker_tasks = used == 0 ? 0 : min_tasks;
+  stats->tasks = tasks;
+  stats->eval_ms = timer.ElapsedMillis();
+  size_t used = 0;
+  size_t max_tasks = 0;
+  size_t min_tasks = tasks;
+  for (size_t count : worker_tasks) {
+    if (count == 0) continue;
+    ++used;
+    max_tasks = std::max(max_tasks, count);
+    min_tasks = std::min(min_tasks, count);
   }
+  stats->workers_used = used;
+  stats->max_worker_tasks = max_tasks;
+  stats->min_worker_tasks = used == 0 ? 0 : min_tasks;
 
   // Fold the first stop (by worker index, for a stable choice) back into
   // the main governor. Any stop means unclaimed or half-evaluated tasks:
-  // the section is incomplete and the caller must discard its results.
+  // the section is incomplete and its results are discarded.
   for (const std::optional<StopReason>& stop : worker_stops) {
     if (stop.has_value()) {
       governor_->AdoptStop(*stop);
@@ -104,35 +103,12 @@ bool ParallelTriggerEval::Run(size_t tasks,
   return true;
 }
 
-std::vector<CandidateMatch> EnumerateRuleCandidates(const Rule& rule,
-                                                    const AtomSet& instance) {
-  HomOptions options;
-  options.limit = 0;  // all
+std::vector<CandidateMatch> KeyCandidates(std::vector<Substitution> matches) {
   std::vector<CandidateMatch> out;
-  for (Substitution& match :
-       FindAllHomomorphisms(rule.body(), instance, options)) {
+  for (Substitution& match : matches) {
     PackedBindings key = PackedBindings::FromMatch(match);
     out.push_back(CandidateMatch{std::move(match), std::move(key)});
   }
-  return out;
-}
-
-std::vector<CandidateMatch> SeededProbeCandidates(const Rule& rule,
-                                                  const Atom& fact,
-                                                  const AtomSet& instance) {
-  std::vector<CandidateMatch> out;
-  rule.body().ForEach([&](const Atom& body_atom) {
-    std::optional<Substitution> seed = UnifyBodyAtomWithFact(body_atom, fact);
-    if (!seed.has_value()) return;
-    HomOptions options;
-    options.seed = std::move(*seed);
-    options.limit = 0;  // all
-    for (Substitution& match :
-         FindAllHomomorphisms(rule.body(), instance, options)) {
-      PackedBindings key = PackedBindings::FromMatch(match);
-      out.push_back(CandidateMatch{std::move(match), std::move(key)});
-    }
-  });
   return out;
 }
 

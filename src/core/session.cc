@@ -84,10 +84,6 @@ Status ChaseSession::Resume(const ChaseCheckpoint& checkpoint) {
         "coring schedule) differ from the recorded run; the decision bits "
         "are meaningless against a different schedule");
   }
-  if (options_.core.incremental_core) {
-    return Status::FailedPrecondition(
-        "resume: incremental_core runs are not replayable");
-  }
   if (CheckpointFingerprint(*kb_, options_) != checkpoint.program_fingerprint) {
     return Status::FailedPrecondition(
         "resume: fingerprint mismatch — the checkpoint belongs to a "

@@ -6,9 +6,6 @@
 #ifndef TWCHASE_HOM_CORE_H_
 #define TWCHASE_HOM_CORE_H_
 
-#include <unordered_set>
-#include <vector>
-
 #include "model/atom_set.h"
 #include "model/substitution.h"
 
@@ -42,78 +39,6 @@ CoreResult ComputeCore(const AtomSet& atoms, const CoreOptions& options = {});
 
 /// True iff `atoms` admits no proper retraction.
 bool IsCore(const AtomSet& atoms);
-
-struct IncrementalCoreOptions {
-  /// BFS radius (in atom hops from the added atoms' terms) defining the
-  /// dirty variables eligible for targeted folding.
-  size_t dirty_radius = 2;
-
-  /// Cascade guard: fall back to a full recomputation once more than
-  /// max(8, cascade_factor * |added|) folds fire in one update — the
-  /// redundancy is not local to the new atoms, so chasing it fold by fold
-  /// is no cheaper than starting over.
-  size_t cascade_factor = 4;
-
-  /// Options for the fallback ComputeCore.
-  CoreOptions full;
-};
-
-/// Dirty-term fold state carried across successive IncrementalCoreUpdate
-/// calls (one chase run threads a single instance through every step). The
-/// carried terms are re-attempted for folding next call and exempted from
-/// the verification scan, so regions the last update certified clean are not
-/// re-probed from scratch. The state is only a hint: correctness never
-/// depends on it (every update ends in either a verified core or a full
-/// recomputation), but it MUST be cleared whenever the locality assumption
-/// breaks — in particular on a cascade fallback, where the full ComputeCore
-/// rewrites regions far outside the recorded dirty neighbourhood and the
-/// recorded terms go stale (they may no longer exist, and the terms that DID
-/// change are not recorded). Keeping it was the bug this struct fixes.
-struct IncrementalCoreState {
-  std::unordered_set<Term, TermHash> dirty;
-
-  /// Insertion order of `dirty` — the deterministic fold-attempt order.
-  std::vector<Term> dirty_order;
-
-  void Clear() {
-    dirty.clear();
-    dirty_order.clear();
-  }
-};
-
-struct IncrementalCoreResult {
-  /// A retraction of the pre-update instance onto the final one.
-  Substitution retraction;
-
-  /// True when the update fell back to a full ComputeCore (cascade guard or
-  /// a verification hit outside the dirty neighbourhood).
-  bool fell_back = false;
-
-  /// Fold operations performed; on fallback, the count includes the full
-  /// recomputation's folds.
-  size_t folds = 0;
-};
-
-/// Restores the core property of *atoms after the atoms in `added` were
-/// inserted, assuming *atoms was a core beforehand: folds only variables
-/// within dirty_radius of the added atoms, then verifies that no other
-/// variable became foldable (new atoms can unlock folds arbitrarily far
-/// away, so the verification pass is what makes the result exact — the
-/// output is always a genuine core, never an approximation). Mutates
-/// *atoms through Insert/Erase, so an enabled delta journal records the
-/// changes automatically. The fold choices may differ from ComputeCore's,
-/// so the resulting core agrees with it only up to isomorphism.
-///
-/// When `state` is non-null, its carried dirty terms seed this update's fold
-/// front (ahead of the BFS from `added`, in their recorded order) and the
-/// state is left describing the regions this update touched: cleared when
-/// nothing folded (the instance was certified a core with no changes),
-/// restricted to still-present terms after successful folds, and cleared
-/// entirely on a cascade fallback.
-IncrementalCoreResult IncrementalCoreUpdate(
-    AtomSet* atoms, const std::vector<Atom>& added,
-    const IncrementalCoreOptions& options = {},
-    IncrementalCoreState* state = nullptr);
 
 }  // namespace twchase
 

@@ -78,19 +78,6 @@ Substitution FoldVariablesKeepingRestFixed(
   return accumulated;
 }
 
-void ApplyRetractionInPlace(AtomSet* atoms, const Substitution& retraction) {
-  for (const auto& [var, image] : retraction.map()) {
-    if (var == image) continue;
-    // Copy first: Erase/Insert invalidate the postings the pointers are into.
-    std::vector<Atom> moved;
-    for (const Atom* atom : atoms->ByTerm(var)) moved.push_back(*atom);
-    for (const Atom& atom : moved) {
-      atoms->Erase(atom);
-      atoms->Insert(retraction.Apply(atom));
-    }
-  }
-}
-
 void ApplyRetractionRebuild(AtomSet* atoms, const Substitution& retraction) {
   AtomSet next = retraction.Apply(*atoms);
   if (atoms->delta_journal_enabled()) {

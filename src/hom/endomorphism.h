@@ -44,14 +44,6 @@ Substitution FoldVariablesKeepingRestFixed(
     AtomSet* atoms, const std::vector<Term>& candidates,
     std::vector<Substitution>* fold_steps = nullptr);
 
-/// Applies `retraction` to *atoms in place: every atom containing a moved
-/// variable is erased and its image inserted (a retraction is the identity
-/// on its image's terms, so no other atom changes). Set-equal to assigning
-/// retraction.Apply(*atoms), but untouched atoms keep their slots and the
-/// mutations flow through Insert/Erase — so an enabled delta journal records
-/// them automatically. Used by the incremental core maintenance.
-void ApplyRetractionInPlace(AtomSet* atoms, const Substitution& retraction);
-
 /// Replaces *atoms with retraction(*atoms) exactly as assignment from
 /// Substitution::Apply would (identical slot order — the chase's
 /// deterministic schedules depend on it), carrying an enabled delta journal

@@ -114,8 +114,6 @@ struct CoreRetractionEvent {
   /// hom/core.cc, not derivable from the final retraction).
   size_t folds = 0;
 
-  bool incremental = false;
-  bool fell_back = false;  // incremental update fell back to a full core
   size_t size_before = 0;
   size_t size_after = 0;
 };

@@ -106,7 +106,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   delta_seed_probes_ = registry_->GetCounter("chase.delta.seed_probes");
   core_retractions_ = registry_->GetCounter("chase.core.retractions");
   core_folds_ = registry_->GetCounter("chase.core.folds");
-  core_fallbacks_ = registry_->GetCounter("chase.core.fallbacks");
   parallel_rounds_ = registry_->GetCounter("chase.parallel.rounds");
   parallel_tasks_ = registry_->GetCounter("chase.parallel.tasks");
   match_index_probes_ = registry_->GetCounter("chase.match.index_probes");
@@ -184,7 +183,6 @@ void MetricsObserver::OnTriggerRetired(const TriggerRetiredEvent&) {
 void MetricsObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
   core_retractions_->Increment();
   core_folds_->Increment(event.folds);
-  if (event.fell_back) core_fallbacks_->Increment();
 }
 
 void MetricsObserver::OnParallelRound(const ParallelRoundEvent& event) {
@@ -294,8 +292,6 @@ void EventLogObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
   if (out_ == nullptr) return;
   *out_ << "{\"event\": \"core_retraction\", \"step\": " << event.step
         << ", \"folds\": " << event.folds
-        << ", \"incremental\": " << Bool(event.incremental)
-        << ", \"fell_back\": " << Bool(event.fell_back)
         << ", \"before\": " << event.size_before
         << ", \"after\": " << event.size_after << "}\n";
 }

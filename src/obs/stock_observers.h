@@ -140,7 +140,6 @@ class MetricsObserver : public ChaseObserver {
   Counter* delta_seed_probes_;
   Counter* core_retractions_;
   Counter* core_folds_;
-  Counter* core_fallbacks_;
   Counter* parallel_rounds_;
   Counter* parallel_tasks_;
   Counter* match_index_probes_;

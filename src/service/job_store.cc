@@ -74,6 +74,26 @@ void CountDead(const ReplayState& state, size_t n) {
   if (state.dead != nullptr) *state.dead += n;
 }
 
+// Admit records written before the incremental core was removed carry
+// options.core.incremental_core and options.core.dirty_radius, which the
+// strict wire reader now rejects. Replay drops them (such a job resumes
+// under full core recomputation) rather than treating the record as torn,
+// which would truncate it and every record after it.
+Json WithoutRemovedCoreFields(const Json& job) {
+  const Json& core = job.Get("options").Get("core");
+  if (!core.Has("incremental_core") && !core.Has("dirty_radius")) return job;
+  Json kept = Json::Object();
+  for (const auto& [key, value] : core.members()) {
+    if (key == "incremental_core" || key == "dirty_radius") continue;
+    kept.Set(key, value);
+  }
+  Json options = job.Get("options");
+  options.Set("core", std::move(kept));
+  Json pruned = job;
+  pruned.Set("options", std::move(options));
+  return pruned;
+}
+
 // Applies one CRC-valid payload. Returns false when the record's schema is
 // unintelligible — replay then stops as if the tail were torn.
 bool ApplyRecord(const Json& payload, const std::string& framed_line,
@@ -98,7 +118,9 @@ bool ApplyRecord(const Json& payload, const std::string& framed_line,
     }
     JobRequest request;
     std::vector<FieldError> errors;
-    if (!JobRequestFromJson(payload.Get("job"), &request, &errors).ok()) {
+    if (!JobRequestFromJson(WithoutRemovedCoreFields(payload.Get("job")),
+                            &request, &errors)
+             .ok()) {
       return false;
     }
     if (FindJob(state.jobs, id) != nullptr) return false;  // duplicate admit

@@ -140,18 +140,13 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   if (group != nullptr) {
     r.path = r.Join("core");
     TWCHASE_RETURN_IF_ERROR(r.CheckKeys(
-        *group, {"core_every", "core_at_round_end", "core_initial",
-                 "incremental_core", "dirty_radius"}));
+        *group, {"core_every", "core_at_round_end", "core_initial"}));
     TWCHASE_RETURN_IF_ERROR(
         r.ReadCount(*group, "core_every", &options->core.core_every));
     TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "core_at_round_end",
                                        &options->core.core_at_round_end));
     TWCHASE_RETURN_IF_ERROR(
         r.ReadBool(*group, "core_initial", &options->core.core_initial));
-    TWCHASE_RETURN_IF_ERROR(r.ReadBool(*group, "incremental_core",
-                                       &options->core.incremental_core));
-    TWCHASE_RETURN_IF_ERROR(
-        r.ReadCount(*group, "dirty_radius", &options->core.dirty_radius));
     r.path = base;
   }
 
@@ -262,8 +257,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
   core.Set("core_every", Json::Number(uint64_t{options.core.core_every}));
   core.Set("core_at_round_end", Json::Bool(options.core.core_at_round_end));
   core.Set("core_initial", Json::Bool(options.core.core_initial));
-  core.Set("incremental_core", Json::Bool(options.core.incremental_core));
-  core.Set("dirty_radius", Json::Number(uint64_t{options.core.dirty_radius}));
   root.Set("core", std::move(core));
 
   Json delta = Json::Object();

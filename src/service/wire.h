@@ -82,8 +82,9 @@ struct JobRequest {
   /// stream grows with the run; the bit-identity tests turn it on.
   bool capture_events = false;
 
-  /// Include the serialized checkpoint of the stopped run in the result
-  /// (requires options.resume.record_log, like the CLI's --checkpoint-out).
+  /// Include the serialized checkpoint of the stopped run in the result,
+  /// like the CLI's --checkpoint-out (the daemon records the resume log of
+  /// every job).
   bool return_checkpoint = false;
 };
 

@@ -157,63 +157,5 @@ TEST_F(CoreComputationTest, GridIsCore) {
   EXPECT_TRUE(IsCore(grid));
 }
 
-// Regression: the cascade fallback used to run the full ComputeCore but
-// KEEP the caller's dirty-term state, so the next incremental update seeded
-// its fold front (and exempted its verification scan) from terms the full
-// recomputation had rewritten or erased. The fallback must leave the state
-// empty. The shape: many pairwise-disjoint redundant nulls hanging off a
-// one-atom core — each needs its own singular fold (a chain would collapse
-// in one general retraction), so the fold count overshoots the budget.
-TEST_F(CoreComputationTest, CascadeFallbackClearsCarriedDirtyState) {
-  Vocabulary vocab;
-  PredicateId e = vocab.MustPredicate("e", 2);
-  Term anchor = vocab.Constant("a");
-  AtomSet atoms;
-  atoms.Insert(Atom(e, {anchor, anchor}));
-  ASSERT_TRUE(IsCore(atoms));
-  std::vector<Atom> added;
-  Term last;
-  for (int i = 0; i < 16; ++i) {
-    Term v = vocab.NamedVariable("N" + std::to_string(i));
-    added.push_back(Atom(e, {anchor, v}));
-    atoms.Insert(added.back());
-    last = v;
-  }
-  IncrementalCoreState state;
-  state.dirty.insert(last);
-  state.dirty_order.push_back(last);
-  IncrementalCoreOptions options;
-  options.cascade_factor = 0;  // budget = max(8, 0) — 16 folds overshoot it
-  IncrementalCoreResult result =
-      IncrementalCoreUpdate(&atoms, added, options, &state);
-  EXPECT_TRUE(result.fell_back);
-  EXPECT_TRUE(IsCore(atoms));
-  EXPECT_EQ(atoms.size(), 1u);
-  EXPECT_TRUE(state.dirty.empty());
-  EXPECT_TRUE(state.dirty_order.empty());
-}
-
-// The carried state is a hint, never load-bearing: seeding the next update
-// with terms the instance no longer contains (or that were never dirty)
-// must still yield a genuine core.
-TEST_F(CoreComputationTest, StaleCarriedStateCannotCorruptTheUpdate) {
-  Vocabulary vocab;
-  PredicateId e = vocab.MustPredicate("e", 2);
-  Term anchor = vocab.Constant("a");
-  AtomSet atoms;
-  atoms.Insert(Atom(e, {anchor, anchor}));
-  Term gone = vocab.NamedVariable("Gone");  // not in the instance at all
-  IncrementalCoreState state;
-  state.dirty.insert(gone);
-  state.dirty_order.push_back(gone);
-  Term v = vocab.NamedVariable("V");
-  std::vector<Atom> added = {Atom(e, {anchor, v})};
-  atoms.Insert(added[0]);
-  IncrementalCoreResult result = IncrementalCoreUpdate(&atoms, added, {}, &state);
-  EXPECT_TRUE(IsCore(atoms));
-  EXPECT_EQ(atoms.size(), 1u);
-  EXPECT_GT(result.folds, 0u);
-}
-
 }  // namespace
 }  // namespace twchase

@@ -154,6 +154,60 @@ bool CheckInterruptResumeRoundTrip(Family family, ChaseVariant variant,
   return true;
 }
 
+// One line per (family, variant, armed site@visit) of
+// InjectedStopPointsArePinned.
+constexpr const char* kPinnedStopPoints = R"(staircase/oblivious/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+staircase/oblivious/hom-node@60: fired=1 steps=6 rounds=4 considered=6
+staircase/oblivious/hom-node@200: fired=0 steps=8 rounds=4 considered=8
+staircase/oblivious/core-fold@2: fired=0 steps=8 rounds=4 considered=8
+staircase/oblivious/trigger-boundary@9: fired=0 steps=8 rounds=4 considered=8
+staircase/semi-oblivious/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+staircase/semi-oblivious/hom-node@60: fired=1 steps=5 rounds=4 considered=6
+staircase/semi-oblivious/hom-node@200: fired=0 steps=8 rounds=4 considered=9
+staircase/semi-oblivious/core-fold@2: fired=0 steps=8 rounds=4 considered=9
+staircase/semi-oblivious/trigger-boundary@9: fired=1 steps=7 rounds=4 considered=8
+staircase/restricted/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+staircase/restricted/hom-node@60: fired=1 steps=3 rounds=4 considered=6
+staircase/restricted/hom-node@200: fired=0 steps=8 rounds=8 considered=14
+staircase/restricted/core-fold@2: fired=0 steps=8 rounds=8 considered=14
+staircase/restricted/trigger-boundary@9: fired=1 steps=4 rounds=5 considered=8
+staircase/frugal/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+staircase/frugal/hom-node@60: fired=1 steps=3 rounds=3 considered=10
+staircase/frugal/hom-node@200: fired=1 steps=6 rounds=7 considered=38
+staircase/frugal/core-fold@2: fired=0 steps=8 rounds=8 considered=58
+staircase/frugal/trigger-boundary@9: fired=1 steps=2 rounds=3 considered=8
+staircase/core/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+staircase/core/hom-node@60: fired=1 steps=2 rounds=2 considered=5
+staircase/core/hom-node@200: fired=1 steps=3 rounds=4 considered=15
+staircase/core/core-fold@2: fired=1 steps=2 rounds=3 considered=9
+staircase/core/trigger-boundary@9: fired=1 steps=2 rounds=3 considered=8
+elevator/oblivious/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+elevator/oblivious/hom-node@60: fired=1 steps=7 rounds=6 considered=7
+elevator/oblivious/hom-node@200: fired=0 steps=8 rounds=6 considered=8
+elevator/oblivious/core-fold@2: fired=0 steps=8 rounds=6 considered=8
+elevator/oblivious/trigger-boundary@9: fired=0 steps=8 rounds=6 considered=8
+elevator/semi-oblivious/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+elevator/semi-oblivious/hom-node@60: fired=1 steps=7 rounds=6 considered=7
+elevator/semi-oblivious/hom-node@200: fired=0 steps=8 rounds=6 considered=8
+elevator/semi-oblivious/core-fold@2: fired=0 steps=8 rounds=6 considered=8
+elevator/semi-oblivious/trigger-boundary@9: fired=0 steps=8 rounds=6 considered=8
+elevator/restricted/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+elevator/restricted/hom-node@60: fired=1 steps=6 rounds=6 considered=7
+elevator/restricted/hom-node@200: fired=0 steps=8 rounds=6 considered=11
+elevator/restricted/core-fold@2: fired=0 steps=8 rounds=6 considered=11
+elevator/restricted/trigger-boundary@9: fired=1 steps=6 rounds=6 considered=8
+elevator/frugal/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+elevator/frugal/hom-node@60: fired=1 steps=5 rounds=5 considered=20
+elevator/frugal/hom-node@200: fired=0 steps=8 rounds=6 considered=32
+elevator/frugal/core-fold@2: fired=0 steps=8 rounds=6 considered=32
+elevator/frugal/trigger-boundary@9: fired=1 steps=3 rounds=3 considered=8
+elevator/core/hom-node@3: fired=1 steps=0 rounds=1 considered=0
+elevator/core/hom-node@60: fired=1 steps=3 rounds=4 considered=9
+elevator/core/hom-node@200: fired=1 steps=7 rounds=6 considered=32
+elevator/core/core-fold@2: fired=1 steps=0 rounds=0 considered=0
+elevator/core/trigger-boundary@9: fired=1 steps=3 rounds=3 considered=8
+)";
+
 std::string Context(Family family, ChaseVariant variant,
                     const std::string& what) {
   return std::string(family == Family::kStaircase ? "staircase" : "elevator") +
@@ -233,6 +287,42 @@ TEST(FaultInjectionTest, SeededSchedulesAreResumable) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// Where an injected stop lands, pinned. The match-establishment tasks run
+// inline at threads == 1 and must poll the governor exactly where the
+// engine always has: a fault armed at visit v of a site stops the run at
+// the same step, round and trigger consideration.
+TEST(FaultInjectionTest, InjectedStopPointsArePinned) {
+  struct Arm {
+    FaultSite site;
+    uint64_t visit;
+  };
+  const Arm arms[] = {{FaultSite::kHomNode, 3},
+                      {FaultSite::kHomNode, 60},
+                      {FaultSite::kHomNode, 200},
+                      {FaultSite::kCoreFold, 2},
+                      {FaultSite::kTriggerBoundary, 9}};
+  std::string got;
+  for (Family family : {Family::kStaircase, Family::kElevator}) {
+    for (ChaseVariant variant : kAllVariants) {
+      for (const Arm& arm : arms) {
+        FaultInjector injector;
+        injector.Arm(arm.site, arm.visit, FaultAction::kCancel);
+        RunOutput run = RunVariant(family, variant, /*max_steps=*/8,
+                                   /*record_log=*/false, &injector);
+        got += Context(family, variant,
+                       std::string(FaultSiteName(arm.site)) + "@" +
+                           std::to_string(arm.visit)) +
+               ": fired=" + std::to_string(injector.fired_count()) +
+               " steps=" + std::to_string(run.result.steps) +
+               " rounds=" + std::to_string(run.result.rounds) +
+               " considered=" +
+               std::to_string(run.result.stats.triggers_considered) + "\n";
+      }
+    }
+  }
+  EXPECT_EQ(got, kPinnedStopPoints);
 }
 
 TEST(FaultInjectionTest, InjectorIsInertWithoutScope) {

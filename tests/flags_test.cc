@@ -207,26 +207,6 @@ TEST(ChaseOptionsValidateTest, MessagesLeadWithNestedFieldPath) {
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.message().rfind("core.core_every ", 0), 0u) << s.message();
 
-  ChaseOptions bad_incremental;
-  bad_incremental.core.incremental_core = true;
-  bad_incremental.core.core_at_round_end = true;
-  s = bad_incremental.Validate();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message().rfind("core.incremental_core ", 0), 0u) << s.message();
-  // The referenced fields inside the message carry their paths too.
-  EXPECT_NE(s.message().find("core.core_every == 1"), std::string::npos);
-  EXPECT_NE(s.message().find("core.core_at_round_end == false"),
-            std::string::npos);
-
-  ChaseOptions bad_resume;
-  bad_resume.core.incremental_core = true;
-  bad_resume.resume.record_log = true;
-  s = bad_resume.Validate();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.message().rfind("resume.record_log ", 0), 0u) << s.message();
-  EXPECT_NE(s.message().find("core.incremental_core == false"),
-            std::string::npos);
-
   ChaseOptions zero_threads;
   zero_threads.parallel.threads = 0;
   s = zero_threads.Validate();

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/stock_observers.h"
+#include "parser/parser.h"
 #include "util/fault.h"
 #include "util/governor.h"
 #include "util/thread_pool.h"
@@ -158,6 +159,70 @@ TEST(ParallelOptions, ZeroThreadsRejectedByValidate) {
   EXPECT_FALSE(status.ok());
   auto run = RunChase(FreshKb(Family::kStaircase), options);
   EXPECT_FALSE(run.ok());
+}
+
+// Records every ParallelRoundEvent.
+class ParallelRoundCollector : public ChaseObserver {
+ public:
+  void OnParallelRound(const ParallelRoundEvent& event) override {
+    events.push_back(event);
+  }
+  std::vector<ParallelRoundEvent> events;
+};
+
+// threads == 1 runs the task lists inline: nothing is dispatched, so every
+// parallel_* stat stays zero and no ParallelRoundEvent fires.
+TEST(ParallelStats, InlineRunnerReportsNoParallelWork) {
+  for (ChaseVariant variant : kAllVariants) {
+    KnowledgeBase kb = FreshKb(Family::kStaircase);
+    ParallelRoundCollector collector;
+    ChaseOptions options;
+    options.variant = variant;
+    options.limits.max_steps = 12;
+    options.parallel.threads = 1;
+    options.observer = &collector;
+    auto run = RunChase(kb, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const ChaseStats& stats = run->stats;
+    const std::string context = ChaseVariantName(variant);
+    EXPECT_GT(run->steps, 0u) << context;
+    EXPECT_EQ(stats.parallel_rounds, 0u) << context;
+    EXPECT_EQ(stats.parallel_tasks, 0u) << context;
+    EXPECT_EQ(stats.parallel_eval_ms, 0.0) << context;
+    EXPECT_EQ(stats.parallel_merge_ms, 0.0) << context;
+    EXPECT_EQ(stats.parallel_max_imbalance, 0u) << context;
+    EXPECT_TRUE(collector.events.empty()) << context;
+  }
+}
+
+// Regression: a section that dispatched no task (no inserted fact, no
+// touched rule) still counted toward parallel_rounds and
+// ParallelRoundEvent.sections, so the final round of this program reported
+// a parallel round with zero tasks. Only dispatching sections count.
+TEST(ParallelStats, SectionsWithoutTasksAreNotCounted) {
+  auto program = ParseProgram(R"(
+works(alice, widgets). works(bob, widgets). works(carol, gizmos).
+[head]  heads(H, D), works(H, D) :- works(X, D).
+[mgmt]  manages(H, X) :- heads(H, D), works(X, D).
+)");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  ParallelRoundCollector collector;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.parallel.threads = 4;
+  options.observer = &collector;
+  auto run = RunChase(program->kb, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_FALSE(collector.events.empty());
+  EXPECT_LT(collector.events.size(), run->rounds);
+  EXPECT_EQ(run->stats.parallel_rounds, collector.events.size());
+  size_t tasks = 0;
+  for (const ParallelRoundEvent& event : collector.events) {
+    EXPECT_GT(event.sections, 0u) << "round " << event.round;
+    EXPECT_GE(event.tasks, event.sections) << "round " << event.round;
+    tasks += event.tasks;
+  }
+  EXPECT_EQ(run->stats.parallel_tasks, tasks);
 }
 
 TEST(ParallelStats, TelemetryPopulatedOnlyWhenParallel) {

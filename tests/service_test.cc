@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include "core/chase.h"
+#include "core/checkpoint.h"
 #include "core/session.h"
 #include "obs/observer.h"
 #include "obs/stock_observers.h"
@@ -176,7 +177,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   options.core.core_every = 3;
   options.core.core_at_round_end = true;
   options.core.core_initial = false;
-  options.core.dirty_radius = 5;
   options.delta.enabled = false;
   options.plan.enabled = false;
   options.plan.skip_dormant = false;
@@ -204,7 +204,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   EXPECT_EQ(back.core.core_every, options.core.core_every);
   EXPECT_EQ(back.core.core_at_round_end, options.core.core_at_round_end);
   EXPECT_EQ(back.core.core_initial, options.core.core_initial);
-  EXPECT_EQ(back.core.dirty_radius, options.core.dirty_radius);
   EXPECT_EQ(back.delta.enabled, options.delta.enabled);
   EXPECT_EQ(back.plan.enabled, options.plan.enabled);
   EXPECT_EQ(back.plan.skip_dormant, options.plan.skip_dormant);
@@ -232,6 +231,17 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(error.path, "options.core.core_evry");
   EXPECT_EQ(error.message, "unknown field");
+
+  // The removed incremental-core fields are unknown like any other.
+  for (const char* removed : {"incremental_core", "dirty_radius"}) {
+    auto legacy = Json::Parse(std::string(R"({"core": {")") + removed +
+                              R"(": 2}})");
+    ASSERT_TRUE(legacy.ok());
+    status = ChaseOptionsFromJson(*legacy, "options", &options, &error);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(error.path, std::string("options.core.") + removed);
+    EXPECT_EQ(error.message, "unknown field");
+  }
 
   auto bad_type = Json::Parse(R"({"limits": {"max_steps": "many"}})");
   ASSERT_TRUE(bad_type.ok());
@@ -673,6 +683,62 @@ TEST(DaemonTest, PerJobDeadlinesStopOnlyTheirOwnJob) {
   EXPECT_EQ(daemon.InFlightJobs(), 0u);
 }
 
+// Every job records its resume log, so return_checkpoint is accepted for
+// any options and the returned checkpoint resumes to the uninterrupted run.
+TEST(DaemonTest, ReturnCheckpointWorksForEveryJob) {
+  DaemonOptions options;
+  options.workers = 1;
+  options.preempt_after_ms.reset();
+  ChaseDaemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  DaemonClient client(daemon.port());
+
+  std::vector<ChaseOptions> cases;
+  cases.push_back(SmallCoreOptions(6));
+  cases.push_back(SmallCoreOptions(6));
+  cases.back().core.core_at_round_end = true;
+  cases.push_back(SmallCoreOptions(6));
+  cases.back().core.core_every = 2;
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted, ChaseVariant::kFrugal}) {
+    cases.push_back(SmallCoreOptions(6));
+    cases.back().variant = variant;
+  }
+  for (const ChaseOptions& first : cases) {
+    const std::string context =
+        std::string(ChaseVariantName(first.variant)) +
+        " core_every=" + std::to_string(first.core.core_every) +
+        (first.core.core_at_round_end ? " round-end" : "");
+    Json body = MakeJobBody("alpha", kStaircase, first);
+    body.Set("return_checkpoint", Json::Bool(true));
+    std::string id = client.Submit(body);
+    ASSERT_EQ(client.AwaitTerminal(id), "done") << context;
+    Json result = client.Result(id);
+    auto checkpoint =
+        ParseCheckpoint(result.Get("checkpoint").string_value());
+    ASSERT_TRUE(checkpoint.ok()) << context << ": " << checkpoint.status();
+    EXPECT_EQ(checkpoint->steps, result.Get("steps").number_value())
+        << context;
+
+    ChaseOptions resumed = first;
+    resumed.limits.max_steps = 14;
+    Json resume = MakeJobBody("alpha", kStaircase, resumed);
+    resume.Set("resume_checkpoint",
+               Json::String(result.Get("checkpoint").string_value()));
+    std::string resumed_id = client.Submit(resume);
+    ASSERT_EQ(client.AwaitTerminal(resumed_id), "done") << context;
+    Json resumed_result = client.Result(resumed_id);
+    GoldenRun golden = RunGolden(kStaircase, resumed);
+    EXPECT_EQ(resumed_result.Get("steps").number_value(), golden.steps)
+        << context;
+    EXPECT_EQ(resumed_result.Get("instance_hash").string_value(),
+              golden.instance_hash)
+        << context;
+  }
+  daemon.Stop();
+}
+
 TEST(DaemonTest, HttpErrorsAreStructuredAndVersioned) {
   DaemonOptions options;
   options.workers = 1;
@@ -699,6 +765,26 @@ TEST(DaemonTest, HttpErrorsAreStructuredAndVersioned) {
                 .Get("path")
                 .string_value(),
             "options.coar");
+
+  // The removed incremental-core fields → 400 naming their path.
+  for (const char* removed : {"incremental_core", "dirty_radius"}) {
+    Json legacy = MakeJobBody("t", "p(a).", ChaseOptions{});
+    Json core = Json::Object();
+    core.Set(removed, Json::Bool(false));
+    Json legacy_opts = Json::Object();
+    legacy_opts.Set("core", std::move(core));
+    legacy.Set("options", std::move(legacy_opts));
+    HttpResponse rejected = client.Fetch("POST", "/v1/jobs", legacy.Dump());
+    EXPECT_EQ(rejected.status, 400) << removed;
+    parsed = Json::Parse(rejected.body);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed->Get("error")
+                  .Get("fields")
+                  .items()[0]
+                  .Get("path")
+                  .string_value(),
+              std::string("options.core.") + removed);
+  }
 
   // Invalid option combination → 400 with the Validate path lifted.
   ChaseOptions invalid;
