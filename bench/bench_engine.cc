@@ -152,7 +152,6 @@ void BM_ChaseVariant(benchmark::State& state) {
     ChaseOptions options;
     options.variant = variant;
     options.limits.max_steps = 500;
-    options.keep_snapshots = false;
     auto run = RunChase(kb, options);
     benchmark::DoNotOptimize(run->steps);
   }
@@ -172,7 +171,6 @@ void BM_StaircaseCoreChase(benchmark::State& state) {
     ChaseOptions options;
     options.variant = ChaseVariant::kCore;
     options.limits.max_steps = steps;
-    options.keep_snapshots = false;
     auto run = RunChase(world.kb(), options);
     benchmark::DoNotOptimize(run->steps);
   }
@@ -204,7 +202,6 @@ SweepMeasurement MeasureChase(const SweepWorkload& workload, bool delta_on,
     ChaseOptions options;
     options.variant = workload.variant;
     options.limits.max_steps = workload.max_steps;
-    options.keep_snapshots = false;
     options.delta.enabled = delta_on;
     options.parallel.threads = threads;
     Stopwatch watch;
@@ -512,7 +509,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
     options.variant = workload.variant;
     options.limits.max_steps = workload.max_steps;
     options.limits.memory_budget_bytes = kBudgetBytes;
-    options.keep_snapshots = false;
     Stopwatch watch;
     auto run = RunChase(kb, options);
     double wall_ms = watch.ElapsedMillis();
@@ -575,7 +571,6 @@ std::string RunPlanSweep(MetricsRegistry* registry) {
       ChaseOptions options;
       options.variant = workload.variant;
       options.limits.max_steps = workload.max_steps;
-      options.keep_snapshots = false;
       options.plan.enabled = plan_on;
       Stopwatch watch;
       auto run = RunChase(kb, options);

@@ -39,17 +39,20 @@ int main() {
 
   AtomSet natural;
   int max_tw = -1;
-  for (size_t i = 0; i < d.size(); ++i) {
-    natural.InsertAll(d.Instance(i));
+  DerivationCursor cursor(d);
+  do {
+    const size_t i = cursor.index();
+    const AtomSet& fi = cursor.instance();
+    natural.InsertAll(fi);
     if (i % 7 != 0 && i + 1 != d.size()) continue;
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
+    TreewidthResult tw = ComputeTreewidth(fi);
     int grid = GridLowerBound(natural, 6);
     TreewidthResult agg_tw = ComputeTreewidth(natural);
     max_tw = std::max(max_tw, tw.upper_bound);
-    std::printf("%5zu %8zu %10d %9dx%-3d %10d\n", i, d.Instance(i).size(),
+    std::printf("%5zu %8zu %10d %9dx%-3d %10d\n", i, fi.size(),
                 tw.upper_bound, grid, grid,
                 std::max(agg_tw.lower_bound, grid));
-  }
+  } while (cursor.Next());
   std::printf(
       "\nmax tw along the core-chase sequence: %d (paper: uniform bound 2)\n"
       "natural aggregation D*: %zu atoms, unbounded grid growth\n",

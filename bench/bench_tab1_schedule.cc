@@ -38,14 +38,15 @@ int main() {
               "k+1; total 2k+3)\n");
   std::printf("%4s %6s %6s %6s %6s %8s %14s\n", "k", "Rh1", "Rh2", "Rh3",
               "Rh4", "total", "collapses to");
+  DerivationCursor cursor(d);
   for (size_t c = 0; c + 1 < collapses.size(); ++c) {
     int k = static_cast<int>(c) + 1;
     std::map<std::string, int> counts;
     for (size_t i = collapses[c] + 1; i <= collapses[c + 1]; ++i) {
       counts[d.step(i).rule_label]++;
     }
-    const AtomSet& landing = d.Instance(collapses[c + 1]);
-    bool is_column = AreIsomorphic(landing, world.Column(k + 1));
+    while (cursor.index() < collapses[c + 1]) cursor.Next();
+    bool is_column = AreIsomorphic(cursor.instance(), world.Column(k + 1));
     std::printf("%4d %6d %6d %6d %6d %8zu %11s%-3d%s\n", k, counts["Rh1"],
                 counts["Rh2"], counts["Rh3"], counts["Rh4"],
                 collapses[c + 1] - collapses[c], "C^h_", k + 1,

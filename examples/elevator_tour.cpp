@@ -30,12 +30,15 @@ int main() {
               run->terminated);
   std::printf("%5s %6s %6s %6s\n", "step", "|F_i|", "tw_lb", "tw_ub");
   int max_lb = -1;
-  for (size_t i = 0; i < d.size(); i += 10) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
+  // The cursor rebuilds each F_i from the derivation's journal.
+  DerivationCursor cursor(d);
+  do {
+    if (cursor.index() % 10 != 0) continue;
+    TreewidthResult tw = ComputeTreewidth(cursor.instance());
     max_lb = std::max(max_lb, tw.lower_bound);
-    std::printf("%5zu %6zu %6d %6d\n", i, d.Instance(i).size(), tw.lower_bound,
-                tw.upper_bound);
-  }
+    std::printf("%5zu %6zu %6d %6d\n", cursor.index(),
+                cursor.instance().size(), tw.lower_bound, tw.upper_bound);
+  } while (cursor.Next());
   TreewidthResult final_tw = ComputeTreewidth(d.Last());
   std::printf("final: |F| = %zu, tw in [%d, %d]\n", d.Last().size(),
               final_tw.lower_bound, final_tw.upper_bound);

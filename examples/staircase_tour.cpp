@@ -35,12 +35,15 @@ int main() {
   std::printf("%5s %6s %4s %s\n", "step", "|F_i|", "tw", "rule");
   const Derivation& d = core_run->derivation;
   int max_tw = -1;
-  for (size_t i = 0; i < d.size(); ++i) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
+  // The cursor rebuilds each F_i from the derivation's journal.
+  DerivationCursor cursor(d);
+  do {
+    const size_t i = cursor.index();
+    TreewidthResult tw = ComputeTreewidth(cursor.instance());
     max_tw = std::max(max_tw, tw.upper_bound);
-    std::printf("%5zu %6zu %4d %s\n", i, d.Instance(i).size(), tw.upper_bound,
-                d.step(i).rule_label.c_str());
-  }
+    std::printf("%5zu %6zu %4d %s\n", i, cursor.instance().size(),
+                tw.upper_bound, d.step(i).rule_label.c_str());
+  } while (cursor.Next());
   std::printf("max treewidth along core chase: %d (paper: uniformly ≤ 2)\n\n",
               max_tw);
 

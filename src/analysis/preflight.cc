@@ -101,14 +101,12 @@ struct DynamicRun {
 
 DynamicRun RunBudgeted(const KnowledgeBase& kb, ChaseVariant variant,
                        size_t max_steps, size_t max_instance,
-                       std::optional<uint64_t> deadline_ms,
-                       bool keep_snapshots) {
+                       std::optional<uint64_t> deadline_ms) {
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.limits.max_instance_size = max_instance;
   options.limits.deadline_ms = deadline_ms;
-  options.keep_snapshots = keep_snapshots;
   DynamicRun run;
   StatusOr<ChaseResult> result = RunChase(kb, options);
   if (!result.ok()) return run;
@@ -256,8 +254,7 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
                            sandbox->rules};
         DynamicRun semi = RunBudgeted(
             crit, ChaseVariant::kSemiOblivious, options.critical_max_steps,
-            options.critical_max_instance * 4, options.deadline_ms,
-            /*keep_snapshots=*/false);
+            options.critical_max_instance * 4, options.deadline_ms);
         report.critical_ran = semi.ok;
         report.critical_terminated = semi.terminated;
         report.critical_interrupted = semi.interrupted;
@@ -274,8 +271,7 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
                                   sandbox2->rules};
               DynamicRun obl = RunBudgeted(
                   crit2, ChaseVariant::kOblivious, options.critical_max_steps,
-                  options.critical_max_instance * 4, options.deadline_ms,
-                  /*keep_snapshots=*/false);
+                  options.critical_max_instance * 4, options.deadline_ms);
               report.critical_oblivious_terminated = obl.terminated;
             }
           }
@@ -292,8 +288,7 @@ PreflightReport RunPreflight(const KnowledgeBase& kb,
     if (sandbox.has_value()) {
       DynamicRun probe = RunBudgeted(
           *sandbox, ChaseVariant::kCore, options.probe_max_steps,
-          options.probe_max_instance, options.deadline_ms,
-          /*keep_snapshots=*/true);
+          options.probe_max_instance, options.deadline_ms);
       report.probe_ran = probe.ok;
       report.probe_core_terminated = probe.terminated;
       report.probe_interrupted = probe.interrupted;

@@ -1,40 +1,34 @@
 #include "core/aggregation.h"
 
 #include "core/trigger.h"
-#include "hom/matcher.h"
 
 namespace twchase {
 
-AtomSet NaturalAggregation(const Derivation& derivation) {
-  return derivation.NaturalAggregation();
-}
-
 bool IsFairPrefix(const Derivation& derivation, const KnowledgeBase& kb,
                   size_t skip_tail) {
+  if (derivation.empty()) return true;
   size_t n = derivation.size();
   size_t check_until = n > skip_tail ? n - skip_tail : 0;
-  for (size_t i = 0; i < check_until; ++i) {
-    const AtomSet& fi = derivation.Instance(i);
-    for (int r = 0; r < static_cast<int>(kb.rules.size()); ++r) {
-      for (const Trigger& tr : FindTriggers(kb.rules[r], r, fi)) {
-        bool satisfied_somewhere = false;
-        for (size_t j = i; j < n && !satisfied_somewhere; ++j) {
-          Substitution mapped =
-              Substitution::Compose(derivation.SigmaBetween(i, j), tr.match);
-          if (TriggerIsSatisfied(kb.rules[r], mapped,
-                                 derivation.Instance(j))) {
-            satisfied_somewhere = true;
-          }
-        }
-        if (!satisfied_somewhere) return false;
-      }
+  // Triggers not yet satisfied, each match mapped to the current element:
+  // σ^j_i(tr) = σ_j • σ^{j-1}_i(tr).
+  std::vector<Trigger> open;
+  DerivationCursor cursor(derivation);
+  do {
+    const size_t j = cursor.index();
+    const AtomSet& fj = cursor.instance();
+    for (Trigger& tr : open) {
+      tr.match = Substitution::Compose(derivation.step(j).simplification,
+                                       tr.match);
     }
-  }
-  return true;
-}
-
-bool MapsInto(const AtomSet& candidate, const AtomSet& model) {
-  return ExistsHomomorphism(candidate, model);
+    for (int r = 0; j < check_until && r < std::ssize(kb.rules); ++r) {
+      std::vector<Trigger> found = FindTriggers(kb.rules[r], r, fj);
+      open.insert(open.end(), found.begin(), found.end());
+    }
+    std::erase_if(open, [&](const Trigger& tr) {
+      return TriggerIsSatisfied(kb.rules[tr.rule_index], tr.match, fj);
+    });
+  } while (cursor.Next());
+  return open.empty();
 }
 
 }  // namespace twchase

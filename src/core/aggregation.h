@@ -1,6 +1,6 @@
-// Natural aggregation D* (Section 3) and empirical checkers for its
-// semantic properties (Proposition 1): universality for the KB, modelhood
-// for monotonic fair derivations, and fairness itself.
+// Empirical checker for a semantic property of derivations: fairness
+// (Definition 3), which with monotonicity makes the natural aggregation D*
+// a model (Proposition 1). D* itself is Derivation::NaturalAggregation.
 #ifndef TWCHASE_CORE_AGGREGATION_H_
 #define TWCHASE_CORE_AGGREGATION_H_
 
@@ -9,23 +9,15 @@
 
 namespace twchase {
 
-/// D* = ∪_i F_i.
-AtomSet NaturalAggregation(const Derivation& derivation);
-
 /// Empirical fairness check on a finite derivation prefix: for every
 /// i < size - skip_tail and every trigger tr for F_i, some j ≥ i has
 /// σ^j_i(tr) satisfied in F_j. For a terminated chase use skip_tail = 0 (the
 /// fixpoint satisfies everything); truncated runs necessarily leave triggers
-/// open near the end, so pass a small skip_tail. Quadratic in the derivation
-/// length — intended for tests.
+/// open near the end, so pass a small skip_tail. One forward pass over the
+/// derivation that carries each still-open trigger through every later σ_j
+/// — intended for tests.
 bool IsFairPrefix(const Derivation& derivation, const KnowledgeBase& kb,
                   size_t skip_tail = 0);
-
-/// Checks that `candidate` maps homomorphically into `model` — the
-/// finite-witness half of "universal for K" (Proposition 1(1)): every
-/// element F_i of a derivation, and hence any finite subset of D*, must map
-/// into every model of K.
-bool MapsInto(const AtomSet& candidate, const AtomSet& model);
 
 }  // namespace twchase
 

@@ -226,7 +226,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                    options.variant == ChaseVariant::kRestricted);
 
   ChaseResult result;
-  result.derivation = Derivation(options.keep_snapshots);
   ScopedCrashContext crash_context("chase run", &result.steps);
 
   // Cooperative resource governance: the governor is polled at every
@@ -399,6 +398,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                      result.stop_reason});
     }
     fold_match_stats();
+    result.derivation.SetFinal(std::move(current));
     return result;
   }
   if (rec != nullptr) {
@@ -410,11 +410,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   result.derivation.AddInitial(current, std::move(sigma0));
   if (rec != nullptr) rec->committed_num_variables = vocab->num_variables();
   result.stats.peak_instance_size = current.size();
-  // The final retained snapshot is the live instance; counting both would
-  // double the estimate (see ApproxMemoryBytesExcludingFinalSnapshot).
-  governor.NoteMemoryUsage(
-      current.ApproxMemoryBytes() +
-      result.derivation.ApproxMemoryBytesExcludingFinalSnapshot());
+  governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
+                           result.derivation.ApproxMemoryBytes());
 
   if (obs != nullptr) {
     RunBeginEvent begin;
@@ -993,17 +990,19 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       if (match == &composed) {
         result.derivation.AddStep(p.rule_index, rule.label(),
                                   std::move(composed), sigma,
-                                  std::move(application.added_atoms), current);
+                                  std::move(application.added_atoms),
+                                  current.size());
       } else if (!delta_on || stored.retired) {
         // The stored match will not be used again: naive evaluation rebuilds
         // the set next round, and retired matches are dropped below.
         result.derivation.AddStep(p.rule_index, rule.label(),
                                   std::move(stored.match), sigma,
-                                  std::move(application.added_atoms), current);
+                                  std::move(application.added_atoms),
+                                  current.size());
       } else {
         result.derivation.AddStep(p.rule_index, rule.label(), stored.match,
                                   sigma, std::move(application.added_atoms),
-                                  current);
+                                  current.size());
       }
       if (!sigma.IsIdentity()) {
         sigma_round = Substitution::Compose(sigma, sigma_round);
@@ -1020,9 +1019,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         rec->steps.push_back(std::move(step_rec));
         rec->committed_num_variables = vocab->num_variables();
       }
-      governor.NoteMemoryUsage(
-          current.ApproxMemoryBytes() +
-          result.derivation.ApproxMemoryBytesExcludingFinalSnapshot());
+      governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
+                               result.derivation.ApproxMemoryBytes());
       if (obs != nullptr) {
         const DerivationStep& last =
             result.derivation.step(result.derivation.size() - 1);
@@ -1077,7 +1075,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
           if (!coring.retraction.IsIdentity()) {
             rebuild(coring);
             result.derivation.AmendLastSimplification(coring.retraction,
-                                                      current);
+                                                      current.size());
           }
           if (rec != nullptr) {
             rec->rounds.back().have_round_end = true;
@@ -1171,6 +1169,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                      << result.steps << " steps, " << result.rounds
                      << " rounds, stop=" << StopReasonName(result.stop_reason)
                      << ", |F|=" << current.size();
+  current.DrainDelta();  // the final element needs no pending delta
+  result.derivation.SetFinal(std::move(current));
   return result;
 }
 

@@ -66,8 +66,8 @@ struct ChaseOptions {
     /// bounded by one trigger application.
     std::optional<uint64_t> deadline_ms;
 
-    /// Budget on estimated resident bytes of instance + retained
-    /// derivation (0 = unlimited). An estimate (see
+    /// Budget on estimated resident bytes of the live instance plus the
+    /// derivation's F_0 and journal (0 = unlimited). An estimate (see
     /// AtomSet::ApproxMemoryBytes), not an allocator hook; the CLI's
     /// --memory-budget-mb converts to bytes.
     size_t memory_budget_bytes = 0;
@@ -191,9 +191,6 @@ struct ChaseOptions {
   /// Process datalog (non-existential) rules before existential ones within
   /// a round, as the paper's constructions assume (Proposition 6).
   bool datalog_first = true;
-
-  /// Keep per-step instance snapshots (needed by aggregations and measures).
-  bool keep_snapshots = true;
 
   /// Structured event tap (obs/observer.h), non-owning. Null (the default)
   /// means zero observation overhead; attached observers see every round,
@@ -371,7 +368,9 @@ struct ResumeLog {
 };
 
 struct ChaseResult {
-  Derivation derivation{true};
+  /// F_0, the step journal and the final instance (DerivationCursor
+  /// rebuilds the elements in between).
+  Derivation derivation;
 
   /// Why the run stopped. kFixpoint is the terminated case; every other
   /// reason leaves `derivation` holding the consistent prefix completed

@@ -9,18 +9,15 @@ void Derivation::AddInitial(const AtomSet& f0, Substitution sigma0) {
   DerivationStep step;
   step.simplification = std::move(sigma0);
   step.instance_size = f0.size();
-  if (keep_snapshots_) step.instance = f0;
+  initial_ = f0;
   last_step_bytes_ = StepBytes(step);
-  last_snapshot_bytes_ = keep_snapshots_ ? step.instance.ApproxMemoryBytes() : 0;
-  approx_bytes_ += last_step_bytes_;
+  approx_bytes_ += initial_.ApproxMemoryBytes() + last_step_bytes_;
   steps_.push_back(std::move(step));
-  last_ = f0;
 }
 
 void Derivation::AddStep(int rule_index, std::string rule_label,
                          Substitution match, Substitution sigma,
-                         std::vector<Atom> added_atoms,
-                         const AtomSet& instance) {
+                         std::vector<Atom> added_atoms, size_t instance_size) {
   TWCHASE_CHECK(!steps_.empty());
   DerivationStep step;
   step.rule_index = rule_index;
@@ -28,55 +25,30 @@ void Derivation::AddStep(int rule_index, std::string rule_label,
   step.match = std::move(match);
   step.simplification = std::move(sigma);
   step.added_atoms = std::move(added_atoms);
-  step.instance_size = instance.size();
-  if (keep_snapshots_) step.instance = instance;
+  step.instance_size = instance_size;
   last_step_bytes_ = StepBytes(step);
-  last_snapshot_bytes_ = keep_snapshots_ ? step.instance.ApproxMemoryBytes() : 0;
   approx_bytes_ += last_step_bytes_;
-  // Maintain the running F_i without an O(|F_i|) copy per step: when the
-  // simplification is the identity, the step only inserted `added_atoms`
-  // into F_{i-1}, so mirroring those inserts reproduces F_i's content
-  // (Last()'s contract — consumers compare content, not internal layout).
-  // Retracting steps (core and frugal folds carry a non-identity sigma)
-  // fall back to the full copy; they are rare and already paid for an
-  // instance rebuild. The size check is a defensive resync: it cannot
-  // trigger for a pure insertion step.
-  if (step.simplification.IsIdentity()) {
-    for (const Atom& atom : step.added_atoms) last_.Insert(atom);
-    if (last_.size() != instance.size()) last_ = instance;
-  } else {
-    last_ = instance;
-  }
   steps_.push_back(std::move(step));
 }
 
 void Derivation::AmendLastSimplification(const Substitution& sigma,
-                                         const AtomSet& instance) {
+                                         size_t instance_size) {
   TWCHASE_CHECK(!steps_.empty());
   DerivationStep& last = steps_.back();
   last.simplification = Substitution::Compose(sigma, last.simplification);
-  last.instance_size = instance.size();
-  if (keep_snapshots_) last.instance = instance;
+  last.instance_size = instance_size;
   approx_bytes_ -= last_step_bytes_;
   last_step_bytes_ = StepBytes(last);
-  last_snapshot_bytes_ = keep_snapshots_ ? last.instance.ApproxMemoryBytes() : 0;
   approx_bytes_ += last_step_bytes_;
-  last_ = instance;
 }
 
-size_t Derivation::StepBytes(const DerivationStep& step) const {
-  // Rough per-step footprint; the snapshot (when kept) dominates. The
-  // 48-byte constant approximates one hash-map node per substitution entry.
+size_t Derivation::StepBytes(const DerivationStep& step) {
+  // Rough per-step footprint. The 48-byte constant approximates one
+  // hash-map node per substitution entry.
   size_t bytes = sizeof(DerivationStep) + step.rule_label.capacity();
   bytes += (step.match.size() + step.simplification.size()) * 48;
   bytes += step.added_atoms.size() * 64;
-  if (keep_snapshots_) bytes += step.instance.ApproxMemoryBytes();
   return bytes;
-}
-
-const AtomSet& Derivation::Instance(size_t i) const {
-  TWCHASE_CHECK(keep_snapshots_ && i < steps_.size());
-  return steps_[i].instance;
 }
 
 Substitution Derivation::SigmaBetween(size_t i, size_t j) const {
@@ -88,43 +60,61 @@ Substitution Derivation::SigmaBetween(size_t i, size_t j) const {
   return out;
 }
 
-AtomSet Derivation::PreSimplification(size_t i) const {
-  TWCHASE_CHECK(keep_snapshots_ && i >= 1 && i < steps_.size());
-  AtomSet out = steps_[i - 1].instance;
-  for (const Atom& atom : steps_[i].added_atoms) out.Insert(atom);
-  return out;
-}
-
 bool Derivation::IsMonotonic() const {
-  TWCHASE_CHECK(keep_snapshots_);
-  for (size_t i = 1; i < steps_.size(); ++i) {
-    if (!steps_[i - 1].instance.IsSubsetOf(steps_[i].instance)) return false;
-  }
+  if (steps_.size() < 2) return true;
+  // σ_{i+1} retracts A_{i+1} ⊇ F_i, so it keeps an atom of F_i iff it fixes
+  // the atom's terms.
+  DerivationCursor cursor(*this);
+  do {
+    for (const auto& [var, image] :
+         steps_[cursor.index() + 1].simplification.map()) {
+      if (var != image && cursor.instance().ContainsTerm(var)) return false;
+    }
+  } while (cursor.Next() && cursor.index() + 1 < steps_.size());
   return true;
 }
 
 AtomSet Derivation::NaturalAggregation() const {
-  TWCHASE_CHECK(keep_snapshots_);
   AtomSet out;
-  for (const DerivationStep& step : steps_) {
-    out.InsertAll(step.instance);
-  }
+  if (steps_.empty()) return out;
+  DerivationCursor cursor(*this);
+  do {
+    out.InsertAll(cursor.instance());
+  } while (cursor.Next());
   return out;
 }
 
 std::unordered_map<Atom, size_t, AtomHash> Derivation::ProvenanceIndex()
     const {
-  TWCHASE_CHECK(keep_snapshots_);
   std::unordered_map<Atom, size_t, AtomHash> out;
   if (steps_.empty()) return out;
-  steps_[0].instance.ForEach(
-      [&](const Atom& atom) { out.emplace(atom, 0); });
+  initial_.ForEach([&](const Atom& atom) { out.emplace(atom, 0); });
   for (size_t i = 1; i < steps_.size(); ++i) {
     for (const Atom& atom : steps_[i].added_atoms) {
       out.emplace(atom, i);
     }
   }
   return out;
+}
+
+DerivationCursor::DerivationCursor(const Derivation& derivation)
+    : derivation_(&derivation) {
+  TWCHASE_CHECK(!derivation.empty());
+  instance_ = derivation.Initial();
+}
+
+bool DerivationCursor::Next() {
+  if (index_ + 1 >= derivation_->size()) return false;
+  const DerivationStep& step = derivation_->step(++index_);
+  simplified_ = !step.simplification.IsIdentity();
+  if (simplified_) {
+    pre_ = std::move(instance_);
+    for (const Atom& atom : step.added_atoms) pre_.Insert(atom);
+    instance_ = step.simplification.Apply(pre_);
+  } else {
+    for (const Atom& atom : step.added_atoms) instance_.Insert(atom);
+  }
+  return true;
 }
 
 }  // namespace twchase

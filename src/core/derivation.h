@@ -3,7 +3,8 @@
 // ("simplification"), and F_i = σ_i(α(F_{i-1}, tr_i)). Also provides the
 // composed simplifications σ^j_i (Definition 2) used to trace triggers
 // through a non-monotonic derivation, and the natural aggregation D*
-// (Section 3).
+// (Section 3). A Derivation stores F_0, the step journal and the final
+// instance; DerivationCursor rebuilds the F_i in between.
 #ifndef TWCHASE_CORE_DERIVATION_H_
 #define TWCHASE_CORE_DERIVATION_H_
 
@@ -28,34 +29,33 @@ struct DerivationStep {
   /// (σ_0 retracts the initial fact set).
   Substitution simplification;
 
-  /// Atoms inserted by α before simplification.
+  /// Atoms α inserted into F_{i-1} (each absent from it), in order.
   std::vector<Atom> added_atoms;
 
-  /// F_i snapshot; empty when the derivation does not keep snapshots.
-  AtomSet instance;
-
-  /// |F_i| (recorded even without snapshots).
+  /// |F_i|.
   size_t instance_size = 0;
 };
 
 class Derivation {
  public:
-  explicit Derivation(bool keep_snapshots) : keep_snapshots_(keep_snapshots) {}
-
   /// Installs F_0 = σ_0(F).
   void AddInitial(const AtomSet& f0, Substitution sigma0);
 
-  /// Appends step i from its components. `instance` is F_i.
+  /// Appends step i from its components; `instance_size` is |F_i|.
   void AddStep(int rule_index, std::string rule_label, Substitution match,
                Substitution sigma, std::vector<Atom> added_atoms,
-               const AtomSet& instance);
+               size_t instance_size);
 
-  /// Composes an additional simplification into the most recent step and
-  /// replaces its instance (used by round-end coring, where the retraction
-  /// conceptually belongs to the round's last rule application — the
-  /// Deutsch–Nash–Remmel presentation of the core chase).
+  /// Composes an additional simplification into the most recent step (used
+  /// by round-end coring, where the retraction conceptually belongs to the
+  /// round's last rule application — the Deutsch–Nash–Remmel presentation
+  /// of the core chase); `instance_size` is the new |F_i|.
   void AmendLastSimplification(const Substitution& sigma,
-                               const AtomSet& instance);
+                               size_t instance_size);
+
+  /// Installs the last element F_{size()-1}. The chase moves its live
+  /// instance in when the run returns.
+  void SetFinal(AtomSet last) { last_ = std::move(last); }
 
   /// Number of recorded elements F_0 .. F_{size()-1}.
   size_t size() const { return steps_.size(); }
@@ -63,56 +63,70 @@ class Derivation {
 
   const DerivationStep& step(size_t i) const { return steps_[i]; }
 
-  bool keeps_snapshots() const { return keep_snapshots_; }
+  /// F_0.
+  const AtomSet& Initial() const { return initial_; }
 
-  /// F_i (requires snapshots).
-  const AtomSet& Instance(size_t i) const;
-
-  /// The last F_i (always available).
+  /// The last element (installed by SetFinal).
   const AtomSet& Last() const { return last_; }
 
   /// σ^j_i = σ_j • ... • σ_{i+1} (identity when i == j); a homomorphism from
   /// F_i to F_j.
   Substitution SigmaBetween(size_t i, size_t j) const;
 
-  /// A_i = α(F_{i-1}, tr_i), reconstructed as F_{i-1} plus the added atoms
-  /// (requires snapshots; i ≥ 1).
-  AtomSet PreSimplification(size_t i) const;
-
-  /// True iff F_{i-1} ⊆ F_i for all i (requires snapshots).
+  /// True iff F_{i-1} ⊆ F_i for all i.
   bool IsMonotonic() const;
 
-  /// Natural aggregation D* = ∪_i F_i (requires snapshots).
+  /// Natural aggregation D* = ∪_i F_i.
   AtomSet NaturalAggregation() const;
 
   /// Provenance: for every atom ever produced, the first step that created
   /// it (0 for initial atoms). Keys cover the natural aggregation.
   std::unordered_map<Atom, size_t, AtomHash> ProvenanceIndex() const;
 
-  /// Rough estimate of resident bytes across all recorded steps (snapshots
-  /// dominate when kept). Maintained incrementally so the chase's
-  /// memory-budget poll can read it per step.
+  /// Rough estimate of resident bytes of F_0 and the journal, without the
+  /// final instance (during a run, the chase's live instance). Maintained
+  /// incrementally so the chase's memory-budget poll can read it per step.
   size_t ApproxMemoryBytes() const { return approx_bytes_; }
 
-  /// ApproxMemoryBytes minus the final step's retained snapshot. The chase
-  /// accounts the live instance separately, and with snapshots kept the
-  /// final snapshot *is* (a copy of) the live instance — adding both
-  /// double-counted it, inflating every estimate by one instance and
-  /// tripping memory budgets early. Budget polls therefore combine the
-  /// live instance's bytes with this.
-  size_t ApproxMemoryBytesExcludingFinalSnapshot() const {
-    return approx_bytes_ - last_snapshot_bytes_;
-  }
-
  private:
-  size_t StepBytes(const DerivationStep& step) const;
+  static size_t StepBytes(const DerivationStep& step);
 
-  bool keep_snapshots_;
   std::vector<DerivationStep> steps_;
+  AtomSet initial_;
   AtomSet last_;
   size_t approx_bytes_ = 0;
   size_t last_step_bytes_ = 0;
-  size_t last_snapshot_bytes_ = 0;  // snapshot share of last_step_bytes_
+};
+
+/// Forward cursor over a derivation's elements (the derivation must outlive
+/// it), starting on F_0; each Next() rebuilds A_i = F_{i-1} ∪ added_i and
+/// F_i = σ_i(A_i). The sets keep the live run's slot order: the chase
+/// builds every retracted instance with Substitution::Apply, which keeps
+/// first occurrences in order, as does applying the composed σ_i once.
+class DerivationCursor {
+ public:
+  explicit DerivationCursor(const Derivation& derivation);
+
+  /// Index i of the current element F_i.
+  size_t index() const { return index_; }
+
+  /// F_i.
+  const AtomSet& instance() const { return instance_; }
+
+  /// A_i = α(F_{i-1}, tr_i), the element before σ_i (i ≥ 1).
+  const AtomSet& pre_simplification() const {
+    return simplified_ ? pre_ : instance_;
+  }
+
+  /// Advances to F_{i+1}; false (and no move) on the last element.
+  bool Next();
+
+ private:
+  const Derivation* derivation_;
+  size_t index_ = 0;
+  AtomSet instance_;
+  AtomSet pre_;
+  bool simplified_ = false;
 };
 
 }  // namespace twchase

@@ -49,7 +49,6 @@ EntailmentResult DecideByCoreChase(const KnowledgeBase& kb,
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
   options.limits.max_steps = max_steps;
-  options.keep_snapshots = false;
   options.observer = observer;
   auto run = RunChase(kb, options);
   TWCHASE_CHECK_MSG(run.ok(), run.status().ToString());
@@ -82,7 +81,6 @@ EntailmentResult SaturationSemiDecision(const KnowledgeBase& kb,
   ChaseOptions options;
   options.variant = ChaseVariant::kRestricted;
   options.limits.max_steps = max_steps;
-  options.keep_snapshots = false;
   options.observer = observer;
   auto run = RunChase(kb, options);
   TWCHASE_CHECK_MSG(run.ok(), run.status().ToString());
@@ -109,7 +107,6 @@ EntailmentResult DecideByRobustAggregation(const KnowledgeBase& kb,
   ChaseOptions options;
   options.variant = ChaseVariant::kCore;
   options.limits.max_steps = max_steps;
-  options.keep_snapshots = true;  // the aggregator replays the derivation
   options.observer = observer;
   auto run = RunChase(kb, options);
   TWCHASE_CHECK_MSG(run.ok(), run.status().ToString());

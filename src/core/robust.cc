@@ -97,7 +97,6 @@ void RobustAggregator::Step(const AtomSet& pre, const Substitution& sigma_i) {
 RobustAggregator RobustAggregator::FromDerivation(const Derivation& derivation,
                                                   size_t limit,
                                                   ChaseObserver* observer) {
-  TWCHASE_CHECK(derivation.keeps_snapshots());
   RobustAggregator agg;
   agg.set_observer(observer);
   TWCHASE_CHECK(!derivation.empty());
@@ -109,10 +108,11 @@ RobustAggregator RobustAggregator::FromDerivation(const Derivation& derivation,
   // renames within F's variables, we treat F_0 as `pre` with σ = identity
   // when σ_0's pre-image is unavailable; the resulting G_0 differs from the
   // paper's by an isomorphism, which is harmless for every downstream use.
-  agg.Begin(derivation.Instance(0), derivation.step(0).simplification);
-  for (size_t i = 1; i < n; ++i) {
-    agg.Step(derivation.PreSimplification(i),
-             derivation.step(i).simplification);
+  DerivationCursor cursor(derivation);
+  agg.Begin(cursor.instance(), derivation.step(0).simplification);
+  while (cursor.index() + 1 < n && cursor.Next()) {
+    agg.Step(cursor.pre_simplification(),
+             derivation.step(cursor.index()).simplification);
   }
   return agg;
 }

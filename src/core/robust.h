@@ -52,8 +52,8 @@ class RobustAggregator {
   void Step(const AtomSet& pre, const Substitution& sigma_i);
 
   /// Replays a derivation prefix: elements F_0 .. F_{limit-1}, or the whole
-  /// derivation when limit is 0 or exceeds it (requires snapshots). An
-  /// observer, if given, receives one OnRobustRename per processed element.
+  /// derivation when limit is 0 or exceeds it. An observer, if given,
+  /// receives one OnRobustRename per processed element.
   static RobustAggregator FromDerivation(const Derivation& derivation,
                                          size_t limit = 0,
                                          ChaseObserver* observer = nullptr);

@@ -14,8 +14,8 @@ ColumnSegment::ColumnSegment(const ColumnSegment& other)
       slots_(other.slots_),
       cols_(other.cols_),
       indexes_(std::make_unique<ColumnIndex[]>(other.arity_)) {
-  // Indexes are not copied: a copy is a snapshot (derivation history,
-  // checkpoint verification) that is rarely probed, so it rebuilds lazily.
+  // Indexes are not copied: a copy (such as a derivation's F_0) is rarely
+  // probed, so it rebuilds lazily.
 }
 
 void ColumnSegment::Append(uint32_t slot, const TermId* args) {

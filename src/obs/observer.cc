@@ -69,16 +69,17 @@ void ObserverList::OnRunEnd(const RunEndEvent& event) {
 void ReplayDerivation(const Derivation& derivation, ChaseVariant variant,
                       ChaseObserver* observer) {
   if (observer == nullptr || derivation.empty()) return;
-  const bool snapshots = derivation.keeps_snapshots();
+  DerivationCursor cursor(derivation);
 
   RunBeginEvent begin;
   begin.variant = variant;
   begin.initial_size = derivation.step(0).instance_size;
   begin.initial_simplification = &derivation.step(0).simplification;
-  if (snapshots) begin.instance = &derivation.Instance(0);
+  begin.instance = &cursor.instance();
   observer->OnRunBegin(begin);
 
-  for (size_t i = 1; i < derivation.size(); ++i) {
+  while (cursor.Next()) {
+    const size_t i = cursor.index();
     const DerivationStep& step = derivation.step(i);
     TriggerAppliedEvent applied;
     applied.step = i;
@@ -88,7 +89,7 @@ void ReplayDerivation(const Derivation& derivation, ChaseVariant variant,
     applied.simplification = &step.simplification;
     applied.added_atoms = step.added_atoms.size();
     applied.instance_size = step.instance_size;
-    if (snapshots) applied.instance = &derivation.Instance(i);
+    applied.instance = &cursor.instance();
     observer->OnTriggerApplied(applied);
   }
 

@@ -41,7 +41,7 @@ struct RunBeginEvent {
   /// σ_0 (the initial coring retraction; identity-or-empty otherwise).
   const Substitution* initial_simplification = nullptr;
 
-  /// F_0. Null in snapshot-less replays.
+  /// F_0.
   const AtomSet* instance = nullptr;
 };
 
@@ -94,7 +94,7 @@ struct TriggerAppliedEvent {
   size_t added_atoms = 0;
   size_t instance_size = 0;  // |F_step| after the simplification
 
-  /// F_step. Null in snapshot-less replays.
+  /// F_step.
   const AtomSet* instance = nullptr;
 };
 
@@ -281,11 +281,12 @@ class ObserverList : public ChaseObserver {
 };
 
 /// Re-feeds a recorded derivation through an observer as a synthetic run:
-/// OnRunBegin for F_0, one OnTriggerApplied per step (instance pointers set
-/// when the derivation keeps snapshots), then OnRunEnd. Round-level and
-/// engine-internal events (delta repairs, retirements, corings) are not
-/// reconstructible from a Derivation and are not emitted. This is the shared
-/// code path behind the post-hoc DerivationTrace and MeasureSeries.
+/// OnRunBegin for F_0, one OnTriggerApplied per step (instance pointers aim
+/// at F_i as a DerivationCursor rebuilds it, valid during the callback),
+/// then OnRunEnd. Round-level and engine-internal events (delta repairs,
+/// retirements, corings) are not reconstructible from a Derivation and are
+/// not emitted. This is the shared code path behind the post-hoc
+/// DerivationTrace and MeasureSeries.
 void ReplayDerivation(const Derivation& derivation, ChaseVariant variant,
                       ChaseObserver* observer);
 

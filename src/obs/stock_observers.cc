@@ -72,8 +72,6 @@ void MeasuresObserver::Record(size_t instance_size, const AtomSet* instance) {
       break;
     case Measure::kTreewidthUpper:
     case Measure::kTreewidthLower: {
-      TWCHASE_CHECK_MSG(instance != nullptr,
-                        "treewidth measures need instance snapshots");
       TreewidthResult tw = ComputeTreewidth(*instance, tw_options_);
       series_.push_back(measure_ == Measure::kTreewidthUpper ? tw.upper_bound
                                                              : tw.lower_bound);
@@ -141,8 +139,6 @@ void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size,
                                           const AtomSet* instance) {
   instance_size_->Set(static_cast<double>(instance_size));
   if (treewidth_upper_ != nullptr) {
-    TWCHASE_CHECK_MSG(instance != nullptr,
-                      "treewidth gauge needs instance payloads");
     treewidth_upper_->Set(static_cast<double>(
         ComputeTreewidth(*instance, options_.tw).upper_bound));
   }

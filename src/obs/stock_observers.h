@@ -52,8 +52,7 @@ class TraceObserver : public ChaseObserver {
   size_t elements_printed_ = 0;
 };
 
-/// Per-step series of one measure. Treewidth measures need instance
-/// payloads (live runs always have them; replays need snapshots).
+/// Per-step series of one measure, over a live run or a ReplayDerivation.
 class MeasuresObserver : public ChaseObserver {
  public:
   explicit MeasuresObserver(Measure measure,

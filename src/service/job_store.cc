@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include <fcntl.h>
@@ -74,21 +75,38 @@ void CountDead(const ReplayState& state, size_t n) {
   if (state.dead != nullptr) *state.dead += n;
 }
 
-// Admit records written before the incremental core was removed carry
-// options.core.incremental_core and options.core.dirty_radius, which the
-// strict wire reader now rejects. Replay drops them (such a job resumes
-// under full core recomputation) rather than treating the record as torn,
-// which would truncate it and every record after it.
-Json WithoutRemovedCoreFields(const Json& job) {
-  const Json& core = job.Get("options").Get("core");
-  if (!core.Has("incremental_core") && !core.Has("dirty_radius")) return job;
+// Option paths (under a job's "options") that later builds removed. Older
+// admit records may carry them and the strict wire reader rejects them, so
+// replay drops them rather than treat the record as torn, which would
+// truncate it and every record after it.
+constexpr std::string_view kRemovedOptionPaths[] = {
+    "core.incremental_core",  // full core recomputation is the only path
+    "core.dirty_radius",      // went with core.incremental_core
+    "keep_snapshots",         // the journal is the derivation
+};
+
+// `object` without the member at dotted `path`.
+Json WithoutPath(const Json& object, std::string_view path) {
+  const size_t dot = path.find('.');
+  const std::string_view head = path.substr(0, dot);
+  if (!object.Has(head)) return object;
   Json kept = Json::Object();
-  for (const auto& [key, value] : core.members()) {
-    if (key == "incremental_core" || key == "dirty_radius") continue;
-    kept.Set(key, value);
+  for (const auto& [key, value] : object.members()) {
+    if (key != head) {
+      kept.Set(key, value);
+    } else if (dot != std::string_view::npos) {
+      kept.Set(key, WithoutPath(value, path.substr(dot + 1)));
+    }
   }
+  return kept;
+}
+
+Json WithoutRemovedOptions(const Json& job) {
+  if (!job.Has("options")) return job;
   Json options = job.Get("options");
-  options.Set("core", std::move(kept));
+  for (std::string_view path : kRemovedOptionPaths) {
+    options = WithoutPath(options, path);
+  }
   Json pruned = job;
   pruned.Set("options", std::move(options));
   return pruned;
@@ -118,7 +136,7 @@ bool ApplyRecord(const Json& payload, const std::string& framed_line,
     }
     JobRequest request;
     std::vector<FieldError> errors;
-    if (!JobRequestFromJson(WithoutRemovedCoreFields(payload.Get("job")),
+    if (!JobRequestFromJson(WithoutRemovedOptions(payload.Get("job")),
                             &request, &errors)
              .ok()) {
       return false;

@@ -91,8 +91,8 @@ struct Reader {
 Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   if (!json.is_object()) return r.Fail(r.path, "must be an object");
   TWCHASE_RETURN_IF_ERROR(r.CheckKeys(
-      json, {"variant", "datalog_first", "keep_snapshots", "limits", "core",
-             "delta", "plan", "parallel", "resume", "preflight"}));
+      json, {"variant", "datalog_first", "limits", "core", "delta", "plan",
+             "parallel", "resume", "preflight"}));
 
   if (json.Has("variant")) {
     const Json& value = json.Get("variant");
@@ -110,8 +110,6 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
   }
   TWCHASE_RETURN_IF_ERROR(
       r.ReadBool(json, "datalog_first", &options->datalog_first));
-  TWCHASE_RETURN_IF_ERROR(
-      r.ReadBool(json, "keep_snapshots", &options->keep_snapshots));
 
   const std::string base = r.path;
   const Json* group = nullptr;
@@ -240,7 +238,6 @@ Json ChaseOptionsToJson(const ChaseOptions& options) {
     root.Set("variant", Json::String(ChaseVariantName(options.variant)));
   }
   root.Set("datalog_first", Json::Bool(options.datalog_first));
-  root.Set("keep_snapshots", Json::Bool(options.keep_snapshots));
 
   Json limits = Json::Object();
   limits.Set("max_steps", Json::Number(uint64_t{options.limits.max_steps}));

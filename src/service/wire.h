@@ -40,7 +40,7 @@ struct FieldError {
 
 /// Renders `options` as the wire object: nested groups mirrored one-to-one
 /// (variant, limits{...}, core{...}, delta{...}, plan{...}, parallel{...},
-/// resume{...}, datalog_first, keep_snapshots). Deterministic member order;
+/// resume{...}, datalog_first). Deterministic member order;
 /// limits.deadline_ms is omitted when unset. Round-trips exactly through
 /// ChaseOptionsFromJson.
 Json ChaseOptionsToJson(const ChaseOptions& options);

@@ -66,9 +66,10 @@ TEST(ChaseTest, CoreChaseElementsAreCores) {
   options.limits.max_steps = 10;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  for (size_t i = 0; i < run->derivation.size(); ++i) {
-    EXPECT_TRUE(IsCore(run->derivation.Instance(i))) << "step " << i;
-  }
+  DerivationCursor cursor(run->derivation);
+  do {
+    EXPECT_TRUE(IsCore(cursor.instance())) << "step " << cursor.index();
+  } while (cursor.Next());
 }
 
 TEST(ChaseTest, SimplificationsAreRetractions) {
@@ -78,9 +79,10 @@ TEST(ChaseTest, SimplificationsAreRetractions) {
   options.limits.max_steps = 100;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
-  for (size_t i = 1; i < run->derivation.size(); ++i) {
-    AtomSet alpha = run->derivation.PreSimplification(i);
-    EXPECT_TRUE(run->derivation.step(i).simplification.IsRetractionOf(alpha))
+  for (DerivationCursor cursor(run->derivation); cursor.Next();) {
+    const size_t i = cursor.index();
+    EXPECT_TRUE(run->derivation.step(i).simplification.IsRetractionOf(
+        cursor.pre_simplification()))
         << "step " << i;
   }
 }
@@ -149,6 +151,7 @@ TEST(ChaseTest, FairnessOnPrefixes) {
   // The truncated run leaves the last element's fresh trigger open; every
   // earlier element's triggers must be resolved within the prefix.
   EXPECT_TRUE(IsFairPrefix(run->derivation, kb, /*skip_tail=*/1));
+  EXPECT_FALSE(IsFairPrefix(run->derivation, kb, /*skip_tail=*/0));
 
   // A terminated chase is fair with no tail allowance.
   auto tc = MakeTransitiveClosure(3);
@@ -223,10 +226,10 @@ TEST(ChaseTest, RoundEndCoringMatchesDnrPresentation) {
   EXPECT_TRUE(AreIsomorphic(r1->derivation.Last(), r2->derivation.Last()));
 
   // Simplifications recorded by amendment are still valid retractions.
-  for (size_t i = 1; i < r2->derivation.size(); ++i) {
-    AtomSet alpha = r2->derivation.PreSimplification(i);
-    EXPECT_TRUE(
-        r2->derivation.step(i).simplification.IsRetractionOf(alpha))
+  for (DerivationCursor cursor(r2->derivation); cursor.Next();) {
+    const size_t i = cursor.index();
+    EXPECT_TRUE(r2->derivation.step(i).simplification.IsRetractionOf(
+        cursor.pre_simplification()))
         << "step " << i;
   }
 }
@@ -242,11 +245,11 @@ TEST(ChaseTest, RoundEndCoringOnStaircaseStaysBounded) {
   // Round-cored elements are cores; mid-round growth is absorbed before the
   // next round, so the recorded sequence still witnesses core-bts.
   int max_final_tw = -1;
-  for (size_t i = 0; i < run->derivation.size(); ++i) {
-    max_final_tw = std::max(
-        max_final_tw,
-        ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
-  }
+  DerivationCursor cursor(run->derivation);
+  do {
+    max_final_tw = std::max(max_final_tw,
+                            ComputeTreewidth(cursor.instance()).upper_bound);
+  } while (cursor.Next());
   EXPECT_LE(max_final_tw, 3);
 }
 

@@ -63,7 +63,9 @@ void ExpectIdenticalRuns(const ChaseResult& off, const ChaseResult& on,
   EXPECT_EQ(off.rounds, on.rounds);
   EXPECT_EQ(off.terminated, on.terminated);
   ASSERT_EQ(off.derivation.size(), on.derivation.size());
-  for (size_t i = 0; i < off.derivation.size(); ++i) {
+  DerivationCursor off_f(off.derivation), on_f(on.derivation);
+  for (size_t i = 0; i < off.derivation.size();
+       ++i, off_f.Next(), on_f.Next()) {
     SCOPED_TRACE("step " + std::to_string(i));
     const DerivationStep& a = off.derivation.step(i);
     const DerivationStep& b = on.derivation.step(i);
@@ -72,7 +74,7 @@ void ExpectIdenticalRuns(const ChaseResult& off, const ChaseResult& on,
     EXPECT_EQ(a.simplification, b.simplification);
     EXPECT_EQ(a.added_atoms, b.added_atoms);
     EXPECT_EQ(a.instance_size, b.instance_size);
-    EXPECT_EQ(a.instance, b.instance);
+    EXPECT_EQ(off_f.instance(), on_f.instance());
   }
   EXPECT_EQ(off.derivation.Last(), on.derivation.Last());
 }
@@ -115,10 +117,11 @@ TEST(CoreChaseDeltaTest, EveryInstanceIsACore) {
         RunWorkload(workload, ChaseVariant::kCore, /*delta=*/true);
     SCOPED_TRACE(workload.name);
     EXPECT_GT(run.stats.core_full + run.stats.plan_core_certified, 0u);
-    for (size_t i = 0; i < run.derivation.size(); ++i) {
-      EXPECT_TRUE(IsCore(run.derivation.Instance(i)))
-          << "instance " << i << " is not a core";
-    }
+    DerivationCursor cursor(run.derivation);
+    do {
+      EXPECT_TRUE(IsCore(cursor.instance()))
+          << "instance " << cursor.index() << " is not a core";
+    } while (cursor.Next());
   }
 }
 

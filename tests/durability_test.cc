@@ -419,52 +419,63 @@ TEST(JobStoreTest, BitFlippedRecordStopsReplayAtTheValidPrefix) {
   EXPECT_EQ(ReadFileOrDie(manifest_path).size(), second);
 }
 
-// Admit records persisted before the incremental core was removed still
-// carry its two option fields; replay must recover them, not truncate.
-TEST(JobStoreTest, AdmitRecordsWithRemovedCoreFieldsStillReplay) {
-  std::string dir = FreshStateDir();
-  JobStoreOptions options;
-  options.state_dir = dir;
-  {
-    auto store = JobStore::Open(options);
-    ASSERT_TRUE(store.ok());
-    for (const char* id : {"j-1", "j-2"}) {
-      ASSERT_TRUE((*store)
-                      ->AppendAdmit(id,
-                                    MakeRequest("t", kClosure, CoreOptions(10)),
-                                    1)
-                      .ok());
+// Admit records persisted before an option was removed still carry it;
+// replay must recover them, not truncate. One row per removed option.
+TEST(JobStoreTest, AdmitRecordsWithRemovedOptionsStillReplay) {
+  struct LegacyRow {
+    const char* anchor;    // existing member the removed fields follow
+    const char* inserted;  // the removed fields, as an older build wrote them
+  };
+  const LegacyRow rows[] = {
+      {"\"core_initial\":true",
+       ",\"incremental_core\":false,\"dirty_radius\":2"},
+      {"\"datalog_first\":true", ",\"keep_snapshots\":true"},
+  };
+  for (const LegacyRow& row : rows) {
+    SCOPED_TRACE(row.inserted);
+    std::string dir = FreshStateDir();
+    JobStoreOptions options;
+    options.state_dir = dir;
+    {
+      auto store = JobStore::Open(options);
+      ASSERT_TRUE(store.ok());
+      for (const char* id : {"j-1", "j-2"}) {
+        ASSERT_TRUE(
+            (*store)
+                ->AppendAdmit(id, MakeRequest("t", kClosure, CoreOptions(10)),
+                              1)
+                .ok());
+      }
     }
-  }
-  const std::string manifest_path = dir + "/manifest.wal";
-  std::string legacy;
-  std::istringstream lines(ReadFileOrDie(manifest_path));
-  for (std::string line; std::getline(lines, line);) {
-    std::string payload = line.substr(line.find('{'));
-    const std::string anchor = "\"core_initial\":true";
-    size_t at = payload.find(anchor);
-    ASSERT_NE(at, std::string::npos) << payload;
-    payload.insert(at + anchor.size(),
-                   ",\"incremental_core\":false,\"dirty_radius\":2");
-    char header[32];
-    std::snprintf(header, sizeof header, "M1 %08x %zu ", Crc32(payload),
-                  payload.size());
-    legacy += header + payload + "\n";
-  }
-  WriteFileOrDie(manifest_path, legacy);
+    const std::string manifest_path = dir + "/manifest.wal";
+    std::string legacy;
+    std::istringstream lines(ReadFileOrDie(manifest_path));
+    for (std::string line; std::getline(lines, line);) {
+      std::string payload = line.substr(line.find('{'));
+      const std::string anchor = row.anchor;
+      size_t at = payload.find(anchor);
+      ASSERT_NE(at, std::string::npos) << payload;
+      payload.insert(at + anchor.size(), row.inserted);
+      char header[32];
+      std::snprintf(header, sizeof header, "M1 %08x %zu ", Crc32(payload),
+                    payload.size());
+      legacy += header + payload + "\n";
+    }
+    WriteFileOrDie(manifest_path, legacy);
 
-  std::vector<RecoveredJob> jobs;
-  JobStore::ReplayStats stats = JobStore::ReplayManifest(legacy, &jobs);
-  EXPECT_EQ(stats.records, 2u);
-  EXPECT_EQ(stats.valid_bytes, legacy.size());
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[1].id, "j-2");
-  EXPECT_EQ(jobs[1].request.options.limits.max_steps, 10u);
+    std::vector<RecoveredJob> jobs;
+    JobStore::ReplayStats stats = JobStore::ReplayManifest(legacy, &jobs);
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(stats.valid_bytes, legacy.size());
+    ASSERT_EQ(jobs.size(), 2u);
+    EXPECT_EQ(jobs[1].id, "j-2");
+    EXPECT_EQ(jobs[1].request.options.limits.max_steps, 10u);
 
-  auto reopened = JobStore::Open(options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->TakeRecovered().size(), 2u);
-  EXPECT_EQ(ReadFileOrDie(manifest_path), legacy);
+    auto reopened = JobStore::Open(options);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ((*reopened)->TakeRecovered().size(), 2u);
+    EXPECT_EQ(ReadFileOrDie(manifest_path), legacy);
+  }
 }
 
 TEST(JobStoreTest, TombstonesEvictAndCrossingThresholdCompacts) {

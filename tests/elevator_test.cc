@@ -60,10 +60,14 @@ TEST_F(ElevatorChaseTest, ChaseElementsAreCoresAndEmbedInCeiling) {
   // maps into the treewidth-1 universal model I^v* (Proposition 7).
   AtomSet ceiling = world_.CeilingPrefix(120);
   const Derivation& d = run_->derivation;
-  for (size_t i = 0; i < d.size(); i += 10) {
-    EXPECT_TRUE(IsCore(d.Instance(i))) << "step " << i;
-    EXPECT_TRUE(ExistsHomomorphism(d.Instance(i), ceiling)) << "step " << i;
-  }
+  DerivationCursor cursor(d);
+  do {
+    const size_t i = cursor.index();
+    if (i % 10 != 0) continue;
+    EXPECT_TRUE(IsCore(cursor.instance())) << "step " << i;
+    EXPECT_TRUE(ExistsHomomorphism(cursor.instance(), ceiling))
+        << "step " << i;
+  } while (cursor.Next());
   EXPECT_TRUE(ExistsHomomorphism(d.Last(), ceiling));
 }
 
@@ -114,10 +118,12 @@ TEST_F(ElevatorChaseTest, CoreEverySpacingPreservesGrowth) {
   auto run = RunChase(world_.kb(), options);
   ASSERT_TRUE(run.ok());
   int max_tw = -1;
-  for (size_t i = 0; i < run->derivation.size(); i += 5) {
-    max_tw = std::max(
-        max_tw, ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
-  }
+  DerivationCursor cursor(run->derivation);
+  do {
+    if (cursor.index() % 5 != 0) continue;
+    max_tw = std::max(max_tw,
+                      ComputeTreewidth(cursor.instance()).upper_bound);
+  } while (cursor.Next());
   EXPECT_GE(max_tw, 3);
 }
 

@@ -112,15 +112,20 @@ TEST(FrugalChaseTest, SimplificationsFixOldTerms) {
   auto run = RunChase(world.kb(), options);
   ASSERT_TRUE(run.ok());
   const Derivation& d = run->derivation;
-  for (size_t i = 1; i < d.size(); ++i) {
+  DerivationCursor cursor(d);
+  std::vector<Term> previous_terms = cursor.instance().Terms();
+  while (cursor.Next()) {
+    const size_t i = cursor.index();
     const Substitution& sigma = d.step(i).simplification;
-    if (sigma.empty()) continue;
-    // σ_i is a retraction of A_i fixing all terms of F_{i-1}.
-    AtomSet alpha = d.PreSimplification(i);
-    EXPECT_TRUE(sigma.IsRetractionOf(alpha)) << "step " << i;
-    for (Term t : d.Instance(i - 1).Terms()) {
-      EXPECT_EQ(sigma.Apply(t), t) << "step " << i;
+    if (!sigma.empty()) {
+      // σ_i is a retraction of A_i fixing all terms of F_{i-1}.
+      EXPECT_TRUE(sigma.IsRetractionOf(cursor.pre_simplification()))
+          << "step " << i;
+      for (Term t : previous_terms) {
+        EXPECT_EQ(sigma.Apply(t), t) << "step " << i;
+      }
     }
+    previous_terms = cursor.instance().Terms();
   }
 }
 

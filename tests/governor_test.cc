@@ -102,7 +102,6 @@ TEST(GovernorBoundaryTest, MidRunCancellationKeepsConsistentPrefix) {
     options.limits.max_steps = 1000000;
     options.limits.deadline_ms = 30;  // stop somewhere mid-run
     options.limits.max_instance_size = 20000;
-    options.keep_snapshots = false;
     auto run = RunChase(world.kb(), options);
     ASSERT_TRUE(run.ok()) << ChaseVariantName(variant);
     EXPECT_TRUE(run->stop_reason == StopReason::kDeadline ||
@@ -155,52 +154,25 @@ TEST(ResourceGovernorTest, MemoryBudgetTripsOnReportedUsage) {
   EXPECT_EQ(governor.reason(), StopReason::kMemoryBudget);
 }
 
-TEST(MemoryAccountingTest, FinalSnapshotIsExcludedFromTheDedupedEstimate) {
-  // Regression for the memory double-count: with snapshots retained, the
-  // derivation's final snapshot IS the live instance, yet the governed
-  // estimate used to add both `current.ApproxMemoryBytes()` and the full
-  // `derivation.ApproxMemoryBytes()` — charging the final instance twice.
-  // The deduped accessor subtracts exactly the final snapshot's share.
-  ChaseOptions options;
-  options.limits.max_steps = 6;
-  auto run = RunChase(StaircaseWorld().kb(), options);
-  ASSERT_TRUE(run.ok());
-  const Derivation& d = run->derivation;
-  ASSERT_GT(d.size(), 1u);
-  size_t final_snapshot = d.Instance(d.size() - 1).ApproxMemoryBytes();
-  EXPECT_GT(final_snapshot, 0u);
-  EXPECT_EQ(d.ApproxMemoryBytesExcludingFinalSnapshot(),
-            d.ApproxMemoryBytes() - final_snapshot);
-
-  // Without snapshots there is nothing retained to dedupe: the two
-  // accessors agree.
-  ChaseOptions no_snapshots = options;
-  no_snapshots.keep_snapshots = false;
-  auto lean = RunChase(StaircaseWorld().kb(), no_snapshots);
-  ASSERT_TRUE(lean.ok());
-  EXPECT_EQ(lean->derivation.ApproxMemoryBytesExcludingFinalSnapshot(),
-            lean->derivation.ApproxMemoryBytes());
-}
-
 TEST(MemoryAccountingTest, BudgetAtTheDedupedEstimateIsNotTrippedEarly) {
-  // Behavioural pin of the double-count fix. Measure the true (deduped)
-  // estimate after exactly 6 steps, then run with that budget and a larger
+  // Pins that the governed estimate counts the live instance once: it is
+  // the live instance plus the derivation's own bytes (F_0 and the
+  // journal, which excludes the final instance). Measure that estimate
+  // after exactly 6 steps, then run with it as the budget and a larger
   // step allowance. The restricted staircase run grows monotonically, so
   // the governed estimate reaches the budget exactly at the step-6
   // boundary (not over — NoteMemoryUsage trips on strictly-greater) and
   // exceeds it only at step 7: the run must get STRICTLY PAST step 6
-  // before stopping on kMemoryBudget. Pre-fix, the governor added the
-  // final retained snapshot on top of the live instance, overshooting the
-  // budget at step 6 or earlier.
+  // before stopping on kMemoryBudget. Counting the final instance twice
+  // would overshoot the budget at step 6 or earlier.
   ChaseOptions options;
   options.limits.max_steps = 6;
   auto golden = RunChase(StaircaseWorld().kb(), options);
   ASSERT_TRUE(golden.ok());
   ASSERT_EQ(golden->stop_reason, StopReason::kStepBudget);
   ASSERT_EQ(golden->steps, 6u);
-  size_t deduped_at_6 =
-      golden->derivation.Last().ApproxMemoryBytes() +
-      golden->derivation.ApproxMemoryBytesExcludingFinalSnapshot();
+  size_t deduped_at_6 = golden->derivation.Last().ApproxMemoryBytes() +
+                        golden->derivation.ApproxMemoryBytes();
 
   ChaseOptions budgeted = options;
   budgeted.limits.max_steps = 1000;
@@ -210,7 +182,7 @@ TEST(MemoryAccountingTest, BudgetAtTheDedupedEstimateIsNotTrippedEarly) {
   EXPECT_EQ(run->stop_reason, StopReason::kMemoryBudget);
   EXPECT_GT(run->steps, 6u)
       << "stopped at or before step 6: the estimate overshot the budget "
-         "(final snapshot double-counted?)";
+         "(final instance double-counted?)";
 }
 
 TEST(MemoryAccountingTest, ColumnIndexAndDictionaryBytesAreCounted) {

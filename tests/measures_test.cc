@@ -14,9 +14,11 @@ TEST(MeasuresTest, SizeSeriesMatchesInstances) {
   ASSERT_TRUE(run.ok());
   std::vector<int> sizes = MeasureSeries(run->derivation, Measure::kSize);
   ASSERT_EQ(sizes.size(), run->derivation.size());
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    EXPECT_EQ(sizes[i], static_cast<int>(run->derivation.Instance(i).size()));
-  }
+  DerivationCursor cursor(run->derivation);
+  do {
+    EXPECT_EQ(sizes[cursor.index()],
+              static_cast<int>(cursor.instance().size()));
+  } while (cursor.Next());
   // Monotone for a restricted chase.
   for (size_t i = 1; i < sizes.size(); ++i) {
     EXPECT_GE(sizes[i], sizes[i - 1]);

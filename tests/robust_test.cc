@@ -69,14 +69,17 @@ TEST(RobustAggregatorTest, GIsomorphicToFThroughout) {
   auto run = RunChase(world.kb(), options);
   ASSERT_TRUE(run.ok());
   const Derivation& d = run->derivation;
+  DerivationCursor cursor(d);
   RobustAggregator agg;
-  agg.Begin(d.Instance(0), d.step(0).simplification);
-  EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), d.Instance(0)));
-  for (size_t i = 1; i < d.size(); ++i) {
-    agg.Step(d.PreSimplification(i), d.step(i).simplification);
-    EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), d.Instance(i))) << "step " << i;
+  agg.Begin(cursor.instance(), d.step(0).simplification);
+  EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), cursor.instance()));
+  while (cursor.Next()) {
+    const size_t i = cursor.index();
+    agg.Step(cursor.pre_simplification(), d.step(i).simplification);
+    EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), cursor.instance()))
+        << "step " << i;
     // ρ_i maps F_i onto G_i.
-    EXPECT_EQ(agg.CurrentRho().Apply(d.Instance(i)), agg.CurrentG())
+    EXPECT_EQ(agg.CurrentRho().Apply(cursor.instance()), agg.CurrentG())
         << "step " << i;
   }
 }
@@ -174,13 +177,15 @@ TEST(RobustAggregatorTest, ForwardedUnionIsSubsetOfCurrentG) {
     auto run = RunChase(kb, options);
     ASSERT_TRUE(run.ok());
     const Derivation& d = run->derivation;
+    DerivationCursor cursor(d);
     RobustAggregator agg;
-    agg.Begin(d.Instance(0), d.step(0).simplification);
-    for (size_t i = 1; i < d.size(); ++i) {
-      agg.Step(d.PreSimplification(i), d.step(i).simplification);
+    agg.Begin(cursor.instance(), d.step(0).simplification);
+    while (cursor.Next()) {
+      const size_t i = cursor.index();
+      agg.Step(cursor.pre_simplification(), d.step(i).simplification);
       EXPECT_TRUE(agg.Aggregate().IsSubsetOf(agg.CurrentG()))
           << "kb " << which << " step " << i;
-      EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), d.Instance(i)))
+      EXPECT_TRUE(AreIsomorphic(agg.CurrentG(), cursor.instance()))
           << "kb " << which << " step " << i;
     }
   }

@@ -169,7 +169,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
   ChaseOptions options;
   options.variant = ChaseVariant::kFrugal;
   options.datalog_first = false;
-  options.keep_snapshots = false;
   options.limits.max_steps = 123;
   options.limits.max_instance_size = 456;
   options.limits.deadline_ms = 789;
@@ -195,7 +194,6 @@ TEST(WireTest, ChaseOptionsRoundTripsThroughJson) {
 
   EXPECT_EQ(back.variant, options.variant);
   EXPECT_EQ(back.datalog_first, options.datalog_first);
-  EXPECT_EQ(back.keep_snapshots, options.keep_snapshots);
   EXPECT_EQ(back.limits.max_steps, options.limits.max_steps);
   EXPECT_EQ(back.limits.max_instance_size, options.limits.max_instance_size);
   EXPECT_EQ(back.limits.deadline_ms, options.limits.deadline_ms);
@@ -232,7 +230,7 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
   EXPECT_EQ(error.path, "options.core.core_evry");
   EXPECT_EQ(error.message, "unknown field");
 
-  // The removed incremental-core fields are unknown like any other.
+  // Removed option fields are unknown like any other.
   for (const char* removed : {"incremental_core", "dirty_radius"}) {
     auto legacy = Json::Parse(std::string(R"({"core": {")") + removed +
                               R"(": 2}})");
@@ -242,6 +240,12 @@ TEST(WireTest, UnknownAndMistypedFieldsReportExactPaths) {
     EXPECT_EQ(error.path, std::string("options.core.") + removed);
     EXPECT_EQ(error.message, "unknown field");
   }
+  auto snapshots = Json::Parse(R"({"keep_snapshots": true})");
+  ASSERT_TRUE(snapshots.ok());
+  status = ChaseOptionsFromJson(*snapshots, "options", &options, &error);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(error.path, "options.keep_snapshots");
+  EXPECT_EQ(error.message, "unknown field");
 
   auto bad_type = Json::Parse(R"({"limits": {"max_steps": "many"}})");
   ASSERT_TRUE(bad_type.ok());
@@ -766,7 +770,7 @@ TEST(DaemonTest, HttpErrorsAreStructuredAndVersioned) {
                 .string_value(),
             "options.coar");
 
-  // The removed incremental-core fields → 400 naming their path.
+  // Removed option fields → 400 naming their path.
   for (const char* removed : {"incremental_core", "dirty_radius"}) {
     Json legacy = MakeJobBody("t", "p(a).", ChaseOptions{});
     Json core = Json::Object();
@@ -785,6 +789,20 @@ TEST(DaemonTest, HttpErrorsAreStructuredAndVersioned) {
                   .string_value(),
               std::string("options.core.") + removed);
   }
+  Json snapshots = MakeJobBody("t", "p(a).", ChaseOptions{});
+  Json snapshot_opts = Json::Object();
+  snapshot_opts.Set("keep_snapshots", Json::Bool(true));
+  snapshots.Set("options", std::move(snapshot_opts));
+  HttpResponse snapshots_rejected =
+      client.Fetch("POST", "/v1/jobs", snapshots.Dump());
+  EXPECT_EQ(snapshots_rejected.status, 400);
+  parsed = Json::Parse(snapshots_rejected.body);
+  ASSERT_TRUE(parsed.ok());
+  const Json& snapshot_error =
+      parsed->Get("error").Get("fields").items()[0];
+  EXPECT_EQ(snapshot_error.Get("path").string_value(),
+            "options.keep_snapshots");
+  EXPECT_EQ(snapshot_error.Get("message").string_value(), "unknown field");
 
   // Invalid option combination → 400 with the Validate path lifted.
   ChaseOptions invalid;

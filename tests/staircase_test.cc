@@ -58,22 +58,24 @@ TEST_F(StaircaseChaseTest, DoesNotTerminate) {
 
 TEST_F(StaircaseChaseTest, CoreChaseUniformlyTreewidthBoundedByTwo) {
   // Proposition 4.
-  const Derivation& d = run_->derivation;
-  for (size_t i = 0; i < d.size(); ++i) {
-    TreewidthResult tw = ComputeTreewidth(d.Instance(i));
-    ASSERT_TRUE(tw.exact() || tw.upper_bound <= 2) << "step " << i;
-    EXPECT_LE(tw.upper_bound, 2) << "step " << i;
-  }
+  DerivationCursor cursor(run_->derivation);
+  do {
+    TreewidthResult tw = ComputeTreewidth(cursor.instance());
+    ASSERT_TRUE(tw.exact() || tw.upper_bound <= 2)
+        << "step " << cursor.index();
+    EXPECT_LE(tw.upper_bound, 2) << "step " << cursor.index();
+  } while (cursor.Next());
 }
 
 TEST_F(StaircaseChaseTest, CollapsesLandOnColumns) {
   std::vector<size_t> collapses = CollapseSteps();
   ASSERT_GE(collapses.size(), 3u);
   // The c-th collapse (0-based) retracts step S^h_c onto column C^h_{c+1}.
+  DerivationCursor cursor(run_->derivation);
   int k = 1;
   for (size_t idx : collapses) {
-    const AtomSet& instance = run_->derivation.Instance(idx);
-    EXPECT_TRUE(AreIsomorphic(instance, world_.Column(k)))
+    while (cursor.index() < idx) cursor.Next();
+    EXPECT_TRUE(AreIsomorphic(cursor.instance(), world_.Column(k)))
         << "collapse at step " << idx << " is not C^h_" << k;
     ++k;
   }
@@ -102,10 +104,12 @@ TEST_F(StaircaseChaseTest, ChaseElementsEmbedInUniversalModelPrefix) {
   // Every F_i is universal for K_h (Proposition 1), hence maps into the
   // model I^h; with ~60 steps the column-8 prefix suffices.
   AtomSet prefix = world_.UniversalModelPrefix(9);
-  const Derivation& d = run_->derivation;
-  for (size_t i = 0; i < d.size(); i += 7) {
-    EXPECT_TRUE(ExistsHomomorphism(d.Instance(i), prefix)) << "step " << i;
-  }
+  DerivationCursor cursor(run_->derivation);
+  do {
+    if (cursor.index() % 7 != 0) continue;
+    EXPECT_TRUE(ExistsHomomorphism(cursor.instance(), prefix))
+        << "step " << cursor.index();
+  } while (cursor.Next());
 }
 
 TEST_F(StaircaseChaseTest, NaturalAggregationGrowsGrids) {
@@ -141,10 +145,12 @@ TEST_F(StaircaseChaseTest, RobustAggregationMonotoneForwarding) {
   // Lemma 1(i): π_i(G_{i-1}) ⊆ G_i along the robust sequence.
   RobustAggregator agg;
   const Derivation& d = run_->derivation;
-  agg.Begin(d.Instance(0), d.step(0).simplification);
+  DerivationCursor cursor(d);
+  agg.Begin(cursor.instance(), d.step(0).simplification);
   AtomSet prev_g = agg.CurrentG();
-  for (size_t i = 1; i < d.size(); ++i) {
-    agg.Step(d.PreSimplification(i), d.step(i).simplification);
+  while (cursor.Next()) {
+    const size_t i = cursor.index();
+    agg.Step(cursor.pre_simplification(), d.step(i).simplification);
     const Substitution& pi = agg.pis().back();
     EXPECT_TRUE(pi.Apply(prev_g).IsSubsetOf(agg.CurrentG())) << "step " << i;
     prev_g = agg.CurrentG();
@@ -180,10 +186,12 @@ TEST_F(StaircaseChaseTest, RestrictedChaseTreewidthGrows) {
   auto run = RunChase(world_.kb(), options);
   ASSERT_TRUE(run.ok());
   int max_lb = -1;
-  for (size_t i = 0; i < run->derivation.size(); i += 5) {
-    max_lb = std::max(
-        max_lb, ComputeTreewidth(run->derivation.Instance(i)).lower_bound);
-  }
+  DerivationCursor cursor(run->derivation);
+  do {
+    if (cursor.index() % 5 != 0) continue;
+    max_lb = std::max(max_lb,
+                      ComputeTreewidth(cursor.instance()).lower_bound);
+  } while (cursor.Next());
   EXPECT_GE(max_lb, 3);
 }
 

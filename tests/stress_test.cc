@@ -108,10 +108,11 @@ TEST(RobustOnFrugalTest, AggregationIsFinitelyUniversalPrefix) {
   // Proposition 12 direction: treewidth of the aggregate is bounded by the
   // observed sequence bound.
   int max_tw = -1;
-  for (size_t i = 0; i < run->derivation.size(); ++i) {
-    max_tw = std::max(
-        max_tw, ComputeTreewidth(run->derivation.Instance(i)).upper_bound);
-  }
+  DerivationCursor cursor(run->derivation);
+  do {
+    max_tw = std::max(max_tw,
+                      ComputeTreewidth(cursor.instance()).upper_bound);
+  } while (cursor.Next());
   EXPECT_LE(ComputeTreewidth(agg.Aggregate()).upper_bound, max_tw);
 }
 
@@ -121,7 +122,6 @@ TEST(LargeChaseSmokeTest, LongTransitiveClosure) {
   ChaseOptions options;
   options.variant = ChaseVariant::kRestricted;
   options.limits.max_steps = 2000;
-  options.keep_snapshots = false;
   auto run = RunChase(kb, options);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->terminated);

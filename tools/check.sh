@@ -6,44 +6,47 @@
 #      concurrency on every bundled program — the cheap end-to-end check of
 #      the deterministic-merge invariant (tests/parallel_chase_test.cc is
 #      the thorough one);
-#   3. twgen gates: the label-soundness sweep (500 seeded programs — every
+#   3. bounded-memory gate: the CLI at default options runs perfbench's large
+#      triangle Datalog program to fixpoint under a peak-RSS bound (the
+#      derivation keeps a journal, not a snapshot per step);
+#   4. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
 #      label must diverge under every variant) and a seeded differential
 #      sweep smoke (all five variants × both match backends × threads 1/4 ×
 #      plan on/off, bit-identity cross-checked per config);
-#   4. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
+#   5. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
 #      robustness, columnar, plan, durability and analysis labelled suites
 #      under it (fault-injection, checkpoint/resume, the columnar storage
 #      layer, the planner's still-core guard, the torn-write/replay recovery
 #      paths and the preflight's sandboxed dynamic probes are exactly the
 #      code that must be memory-clean);
-#   5. TSan: ThreadSanitizer build, then the parallel, columnar, plan,
+#   6. TSan: ThreadSanitizer build, then the parallel, columnar, plan,
 #      service and analysis labelled suites under it to race-check the
 #      worker pool, sharded metrics, the lazy column-index builds that
 #      parallel searches race on, the planner's dormant-rule skips inside
 #      parallel rounds, the daemon's HTTP handler pool + job scheduler +
 #      preemption monitor, and the sweep's backend switching;
-#   6. daemon smoke: start twchased on an ephemeral port, submit the bundled
+#   7. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
 #      exact same answer, including a --variant=auto submission whose
 #      daemon-side preflight must match the CLI's; then a clean SIGTERM
 #      shutdown with zero leaked jobs;
-#   7. crash recovery: start twchased with --state-dir, submit a slow and a
+#   8. crash recovery: start twchased with --state-dir, submit a slow and a
 #      fast job, SIGKILL the daemon mid-run, restart it on the same state
 #      directory and await both jobs — each result must be byte-identical
 #      (modulo the wall-clock field) to an uninterrupted CLI run of the same
 #      program, whether it was served from the retained terminal record or
 #      resumed from the last durable checkpoint;
-#   8. fuzz smoke: short runs of the parser fuzz harness and the recovery
+#   9. fuzz smoke: short runs of the parser fuzz harness and the recovery
 #      fuzz harness (checkpoint + manifest parsers over the seed corpus of
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
-#   9. bench smoke: the full bench_engine sweep (delta, threads, matching
+#  10. bench smoke: the full bench_engine sweep (delta, threads, matching
 #      backends, large instances, planner, service throughput, the preflight
 #      sweep) under a generous wall-time ceiling — it fails on parity
 #      violations, a tripped memory budget, or a hang;
-#  10. planner regression gate: from the bench smoke artifact, the
+#  11. planner regression gate: from the bench smoke artifact, the
 #      staircase-core workload must not be slower with the planner on than
 #      off — the planner only ever skips work, so a regression means the
 #      reliance/guard machinery itself got too expensive.
@@ -85,6 +88,37 @@ for program in data/*.twc; do
   done
   echo "  $program: identical at threads 1/4/$HW_THREADS"
 done
+
+echo "== bounded-memory gate: large triangle Datalog at default options =="
+# The derivation keeps F_0, the step journal and the final instance, so the
+# CLI's peak RSS tracks the instance, not steps x instance. The program is
+# perfbench's large triangle job (2,000 edges, 1,974 steps to fixpoint; it
+# peaked near 1.2 GB while every step kept an instance snapshot). Peak RSS
+# comes from wait4. Bound: 3x the 14.5 MB measured when the gate was added
+# (RelWithDebInfo, 4-core x86-64 host).
+RSS_BOUND_MB=44
+python3 - "$RSS_BOUND_MB" <<'PYEOF'
+import os, subprocess, sys, tempfile
+sys.path.insert(0, "perfbench")
+import datalog
+bound_mb = float(sys.argv[1])
+text, expect = datalog.make_large("tri", 1, 2)
+with tempfile.NamedTemporaryFile("w", suffix=".twc", delete=False) as f:
+    f.write(text)
+proc = subprocess.Popen(["./build/tools/twchase_cli", "--max-steps=4000",
+                         f.name], stdout=subprocess.PIPE)
+out = proc.stdout.read().decode()
+_, status, usage = os.wait4(proc.pid, 0)
+os.unlink(f.name)
+rss_mb = usage.ru_maxrss / 1024.0
+want = "stop: fixpoint; |result| = %d" % expect["result_size"]
+print("  large triangle: peak RSS %.1f MB (bound %.0f MB)" % (rss_mb, bound_mb))
+if status != 0 or want not in out:
+    sys.exit("BOUNDED-MEMORY FAILURE: run did not end with '%s'" % want)
+if rss_mb >= bound_mb:
+    sys.exit("BOUNDED-MEMORY FAILURE: peak RSS %.1f MB >= %.0f MB"
+             % (rss_mb, bound_mb))
+PYEOF
 
 echo "== twgen gates: label soundness (500 programs) + differential sweep smoke =="
 timeout "$CTEST_HARD_TIMEOUT" ./build/tools/twgen --soundness --programs=500

@@ -59,7 +59,6 @@ std::optional<StopReason> RunOnce(const std::string& text, ChaseVariant variant,
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.limits.max_instance_size = 20000;
-  options.keep_snapshots = false;
   StatusOr<ChaseResult> run = RunChase(parsed.value().kb, options);
   if (!run.ok()) return std::nullopt;
   return run.value().stop_reason;
