@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/delta.h"
-#include "core/parallel.h"
 #include "core/session.h"
 #include "core/trigger.h"
 #include "core/trigger_key.h"
@@ -114,30 +113,6 @@ void RecordRetractionDelta(const Substitution& retraction,
   }
 }
 
-// Telemetry of one round's parallel sections (up to three: priming/naive
-// enumeration, erasure revalidation, seeded probes), aggregated for the
-// ParallelRoundEvent and ChaseStats. Only sections that dispatched at least
-// one task to the pool count.
-struct RoundParallelStats {
-  size_t sections = 0;
-  size_t tasks = 0;
-  size_t workers_used = 0;    // max over the round's sections
-  size_t max_imbalance = 0;   // max over sections of (max - min) worker share
-  double eval_ms = 0;
-  double merge_ms = 0;
-
-  void NoteSection(const ParallelSectionStats& section) {
-    if (section.tasks == 0) return;
-    ++sections;
-    tasks += section.tasks;
-    workers_used = std::max(workers_used, section.workers_used);
-    max_imbalance = std::max(
-        max_imbalance, section.max_worker_tasks - section.min_worker_tasks);
-    eval_ms += section.eval_ms;
-    merge_ms += section.merge_ms;
-  }
-};
-
 // Telemetry of one round's planner decisions (src/plan/), aggregated for the
 // per-round PlanEvent and ChaseStats.
 struct RoundPlanStats {
@@ -243,9 +218,8 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
 
   // Ambient chase.match.* telemetry: every homomorphism search of this run
   // (trigger enumeration, satisfaction checks, core folds) folds its
-  // probe/scan/build counts in here; the parallel evaluation path installs
-  // the same object inside its workers. Totals are a pure function of the
-  // searches performed, hence identical at any --threads.
+  // probe/scan/build counts in here. Totals are a pure function of the
+  // searches performed.
   MatchCounters match_counters;
   MatchCountersScope match_scope(&match_counters);
   auto fold_match_stats = [&]() {
@@ -265,8 +239,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   // event carries deltas. Besides the round ends, this is flushed once after
   // the scheduler loop (and on the pre-run budget-stop path): a mid-round
   // stop used to drop the final round's counts from any attached
-  // MetricsRegistry while ChaseStats kept them, so the registry totals
-  // diverged between --threads settings depending on where the stop landed.
+  // MetricsRegistry while ChaseStats kept them.
   MatchPlanEvent match_reported;
   auto emit_match_plan_delta = [&](size_t round) {
     if (obs == nullptr) return;
@@ -468,12 +441,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
   const bool skip_dormant =
       plan_on && options.plan.skip_dormant && exec_plan.dormant_count > 0;
 
-  // Match establishment runs as task lists (core/parallel.h): inline on
-  // this thread at threads == 1, fanned out over a fixed pool otherwise.
-  // Either way each section's results merge in task order, so the run
-  // below — instance, journal, events — is bit-identical at any thread
-  // count.
-  ParallelTriggerEval peval(options.parallel.threads, &governor);
   HomOptions all_matches;
   all_matches.limit = 0;
 
@@ -556,7 +523,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     ++result.rounds;
     if (rec != nullptr) rec->rounds.emplace_back();
     const size_t steps_at_round_start = result.steps;
-    RoundParallelStats round_par;
     RoundPlanStats round_plan;
 
     // Establish this round's match sets: naive evaluation re-enumerates
@@ -565,35 +531,26 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     // rule's matches (minus retired ones, which are inactive by
     // construction) are exactly its triggers for `current`.
     if (!delta_on || !delta_primed) {
-      // One task per rule, merged in rule order (the enumeration within a
-      // rule is the deterministic hom-search order).
-      ParallelSectionStats section;
-      peval.Run<std::vector<CandidateMatch>>(
-          kb.rules.size(),
-          [&](size_t r, std::vector<CandidateMatch>* candidates) {
-            // A dormant rule's enumeration is guaranteed empty.
-            if (skip_dormant && exec_plan.dormant[r]) return size_t{0};
-            *candidates = KeyCandidates(
-                FindAllHomomorphisms(kb.rules[r].body(), current, all_matches));
-            return ApproxCandidateBytes(*candidates);
-          },
-          [&](size_t r, std::vector<CandidateMatch>& candidates) {
-            RuleState& state = rule_states[r];
-            state.matches.clear();
-            for (CandidateMatch& candidate : candidates) {
-              if (delta_on) state.match_keys.insert(candidate.key);
-              state.matches.push_back(StoredMatch{std::move(candidate.match),
-                                                  std::move(candidate.key)});
-            }
-            if (skip_dormant && exec_plan.dormant[r]) {
-              ++result.stats.plan_enumerations_skipped;
-              ++round_plan.enumerations_skipped;
-            } else {
-              ++result.stats.full_enumerations;
-            }
-          },
-          &section);
-      round_par.NoteSection(section);
+      // Full enumeration, rule by rule (the enumeration within a rule is
+      // the deterministic hom-search order).
+      for (size_t r = 0; r < kb.rules.size(); ++r) {
+        RuleState& state = rule_states[r];
+        state.matches.clear();
+        // A dormant rule's enumeration is guaranteed empty.
+        if (skip_dormant && exec_plan.dormant[r]) {
+          ++result.stats.plan_enumerations_skipped;
+          ++round_plan.enumerations_skipped;
+          continue;
+        }
+        for (Substitution& match :
+             FindAllHomomorphisms(kb.rules[r].body(), current, all_matches)) {
+          PackedBindings key = PackedBindings::FromMatch(match);
+          if (delta_on) state.match_keys.insert(key);
+          state.matches.push_back(
+              StoredMatch{std::move(match), std::move(key)});
+        }
+        ++result.stats.full_enumerations;
+      }
       delta_primed = true;
     } else {
       pending_delta.Absorb(current.DrainDelta());
@@ -607,125 +564,68 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         // whole match set, and within a touched rule only matches whose
         // body image meets the erased segment need the full re-probe.
         // Outcomes (and with them retire events and counters) are exactly
-        // those of the unconditional IsTriggerFor sweep.
+        // those of the unconditional IsTriggerFor sweep. Each touched rule
+        // is compacted in match order.
         auto rule_touched_by_erasure = [&](size_t r) {
           for (PredicateId p : rule_states[r].body_predicates) {
             if (pending_delta.ErasedTouchesPredicate(p)) return true;
           }
           return false;
         };
-        // One task per chunk of a touched rule's matches. The merge
-        // compacts each rule in (rule, index) order — key erasures,
-        // counters, retire events and all; it only moves matches of chunks
-        // already evaluated, so the inline runner may interleave.
-        struct RevalChunk {
-          size_t rule;
-          size_t begin;
-          size_t end;
-        };
-        constexpr size_t kRevalChunk = 32;
-        std::vector<RevalChunk> chunks;
         for (size_t r = 0; r < kb.rules.size(); ++r) {
           if (!rule_touched_by_erasure(r)) continue;
-          const size_t count = rule_states[r].matches.size();
-          for (size_t b = 0; b < count; b += kRevalChunk) {
-            chunks.push_back(
-                RevalChunk{r, b, std::min(b + kRevalChunk, count)});
+          const Rule& rule = kb.rules[r];
+          RuleState& state = rule_states[r];
+          size_t kept = 0;
+          for (size_t i = 0; i < state.matches.size(); ++i) {
+            const Substitution& match = state.matches[i].match;
+            if (!MatchImageTouchesErased(rule, match, pending_delta) ||
+                IsTriggerFor(rule, match, current)) {
+              if (kept != i) state.matches[kept] = std::move(state.matches[i]);
+              ++kept;
+              continue;
+            }
+            state.match_keys.erase(state.matches[i].key);
+            ++result.stats.matches_invalidated;
+            ++repair.matches_invalidated;
+            if (obs != nullptr) {
+              obs->OnTriggerRetired({result.rounds, static_cast<int>(r),
+                                     TriggerRetireReason::kInvalidated});
+            }
           }
+          state.matches.resize(kept);
         }
-        size_t kept = 0;
-        ParallelSectionStats section;
-        peval.Run<std::vector<uint8_t>>(
-            chunks.size(),
-            [&](size_t t, std::vector<uint8_t>* valid) {
-              const RevalChunk& chunk = chunks[t];
-              const Rule& rule = kb.rules[chunk.rule];
-              const RuleState& state = rule_states[chunk.rule];
-              for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                const Substitution& match = state.matches[i].match;
-                valid->push_back(
-                    !MatchImageTouchesErased(rule, match, pending_delta) ||
-                    IsTriggerFor(rule, match, current));
-              }
-              return size_t{0};
-            },
-            [&](size_t t, std::vector<uint8_t>& valid) {
-              const RevalChunk& chunk = chunks[t];
-              RuleState& state = rule_states[chunk.rule];
-              if (chunk.begin == 0) kept = 0;
-              for (size_t i = chunk.begin; i < chunk.end; ++i) {
-                if (valid[i - chunk.begin] != 0) {
-                  if (kept != i) {
-                    state.matches[kept] = std::move(state.matches[i]);
-                  }
-                  ++kept;
-                } else {
-                  state.match_keys.erase(state.matches[i].key);
-                  ++result.stats.matches_invalidated;
-                  ++repair.matches_invalidated;
-                  if (obs != nullptr) {
-                    obs->OnTriggerRetired(
-                        {result.rounds, static_cast<int>(chunk.rule),
-                         TriggerRetireReason::kInvalidated});
-                  }
-                }
-              }
-              if (chunk.end == state.matches.size()) {
-                state.matches.resize(kept);
-              }
-            },
-            &section);
-        round_par.NoteSection(section);
       }
-      // One task per (inserted fact, rule) pair; the merge performs the
-      // counted, key-deduplicated inserts in task order.
-      struct ProbeTask {
-        const Atom* fact;
-        size_t rule;
-      };
-      std::vector<ProbeTask> probes;
+      // One seeded probe per (inserted fact, rule) pair, in that order; the
+      // key-deduplicated inserts keep each rule's first occurrence.
       for (const Atom& fact : pending_delta.inserted()) {
         // An atom inserted and erased again within the round yields no
         // matches (the probe pins a body atom's image to it).
         if (!current.Contains(fact)) continue;
         for (size_t r = 0; r < kb.rules.size(); ++r) {
-          if (rule_states[r].body_predicates.contains(fact.predicate())) {
-            probes.push_back(ProbeTask{&fact, r});
+          RuleState& state = rule_states[r];
+          if (!state.body_predicates.contains(fact.predicate())) continue;
+          // Skipped probes stay accounted: the DeltaRepairEvent payload
+          // (and the seed_probes counters) must not depend on the planner.
+          ++result.stats.seed_probes;
+          ++repair.seed_probes;
+          // A dormant rule's probe is guaranteed empty.
+          if (skip_dormant && exec_plan.dormant[r]) {
+            ++result.stats.plan_probes_skipped;
+            ++round_plan.probes_skipped;
+            continue;
+          }
+          for (Substitution& match :
+               FindSeededMatches(kb.rules[r], fact, current)) {
+            PackedBindings key = PackedBindings::FromMatch(match);
+            if (state.match_keys.insert(key).second) {
+              state.matches.push_back(
+                  StoredMatch{std::move(match), std::move(key)});
+              ++repair.matches_added;
+            }
           }
         }
       }
-      ParallelSectionStats section;
-      peval.Run<std::vector<CandidateMatch>>(
-          probes.size(),
-          [&](size_t t, std::vector<CandidateMatch>* candidates) {
-            // A dormant rule's probe is guaranteed empty.
-            if (skip_dormant && exec_plan.dormant[probes[t].rule]) {
-              return size_t{0};
-            }
-            *candidates = KeyCandidates(FindSeededMatches(
-                kb.rules[probes[t].rule], *probes[t].fact, current));
-            return ApproxCandidateBytes(*candidates);
-          },
-          [&](size_t t, std::vector<CandidateMatch>& candidates) {
-            RuleState& state = rule_states[probes[t].rule];
-            // Skipped probes stay accounted: the DeltaRepairEvent payload
-            // (and the seed_probes counters) must not depend on the planner.
-            ++result.stats.seed_probes;
-            ++repair.seed_probes;
-            if (skip_dormant && exec_plan.dormant[probes[t].rule]) {
-              ++result.stats.plan_probes_skipped;
-              ++round_plan.probes_skipped;
-            }
-            for (CandidateMatch& candidate : candidates) {
-              if (state.match_keys.insert(candidate.key).second) {
-                state.matches.push_back(StoredMatch{std::move(candidate.match),
-                                                    std::move(candidate.key)});
-                ++repair.matches_added;
-              }
-            }
-          },
-          &section);
-      round_par.NoteSection(section);
       if (plan_on) {
         round_plan.active_strata = CountActiveStrata(
             exec_plan, plan_body_predicates, pending_delta.InsertedPredicates());
@@ -739,26 +639,6 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     if (governor.stopped()) {
       budget_stop = true;
       break;
-    }
-    if (round_par.sections > 0) {
-      ++result.stats.parallel_rounds;
-      result.stats.parallel_tasks += round_par.tasks;
-      result.stats.parallel_eval_ms += round_par.eval_ms;
-      result.stats.parallel_merge_ms += round_par.merge_ms;
-      result.stats.parallel_max_imbalance =
-          std::max(result.stats.parallel_max_imbalance, round_par.max_imbalance);
-      if (obs != nullptr) {
-        ParallelRoundEvent par_event;
-        par_event.round = result.rounds;
-        par_event.threads = peval.threads();
-        par_event.sections = round_par.sections;
-        par_event.tasks = round_par.tasks;
-        par_event.workers_used = round_par.workers_used;
-        par_event.max_imbalance = round_par.max_imbalance;
-        par_event.eval_ms = round_par.eval_ms;
-        par_event.merge_ms = round_par.merge_ms;
-        obs->OnParallelRound(par_event);
-      }
     }
 
     // Snapshot and order the round's triggers. The order is total — within
@@ -1110,7 +990,7 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
       // Match-phase telemetry of the whole round (establishment through
       // application and coring). Emitted only when the round did match
       // work, and skipped by the stock event log unless opted in, so event
-      // streams stay comparable across backends and thread counts.
+      // streams stay comparable across backends.
       emit_match_plan_delta(result.rounds);
       if (plan_on && round_plan.any()) {
         PlanEvent plan_event;

@@ -110,17 +110,9 @@ struct ChaseOptions {
     bool enabled = true;
   };
 
-  /// Parallel trigger evaluation (core/parallel.h).
+  /// Every run uses one thread, the caller's.
   struct ParallelOptions {
-    /// Worker threads for the match-establishment phase of each round (the
-    /// priming/naive enumerations, the post-erasure revalidation and the
-    /// delta-seeded probes), calling thread included. Every N runs the same
-    /// task lists and merges their results in task order; 1 (the default)
-    /// works inline on the calling thread with no pool, N > 1 evaluates the
-    /// tasks on a pool of N first. Any N produces bit-identical results
-    /// (instance, derivation journal, observer event stream). 0 is rejected
-    /// by Validate(). The CLI defaults its --threads flag to the hardware
-    /// concurrency; the library default stays 1.
+    /// No effect; goes once perfbench stops setting it.
     size_t threads = 1;
   };
 
@@ -231,30 +223,16 @@ struct ChaseStats {
   /// Largest |F_i| seen.
   size_t peak_instance_size = 0;
 
-  /// Parallel evaluation telemetry (all zero when parallel.threads == 1).
-  /// Rounds that dispatched at least one task to the pool.
-  size_t parallel_rounds = 0;
-
-  /// Tasks dispatched to the pool, summed over sections (a task is one
-  /// rule enumeration, one revalidation chunk, or one seeded probe).
+  /// Always 0, no effect; these go once perfbench stops reading them.
   size_t parallel_tasks = 0;
-
-  /// Wall time spent inside parallel sections (dispatch to join).
   double parallel_eval_ms = 0;
-
-  /// Wall time spent merging per-task candidate buffers into the stored
-  /// match sets, in sequential order.
   double parallel_merge_ms = 0;
-
-  /// Worst per-section probe imbalance: max over sections of
-  /// (largest - smallest per-worker task count among participating
-  /// workers). 0 = perfectly balanced.
   size_t parallel_max_imbalance = 0;
 
   /// Match-phase counters (columnar backend; all zero on the legacy
-  /// per-atom backend). Deterministic across thread counts: each counter
-  /// is a per-search total and index builds happen exactly once per
-  /// stale-to-ready column transition.
+  /// per-atom backend). Deterministic: each counter is a per-search total
+  /// and index builds happen exactly once per stale-to-ready column
+  /// transition.
   /// Sorted-column EqualRange lookups.
   uint64_t match_index_probes = 0;
 

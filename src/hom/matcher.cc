@@ -17,9 +17,7 @@ namespace {
 // runs; relaxed is enough (no data is published through it).
 std::atomic<int> g_match_backend{static_cast<int>(MatchBackend::kColumnar)};
 
-// Ambient per-thread counters pointer; the pointee is shared across threads
-// (its fields are atomic), the pointer itself is thread-local like the
-// governor ambient.
+// Ambient counters pointer, thread-local like the governor ambient.
 thread_local MatchCounters* g_match_counters = nullptr;
 
 }  // namespace

@@ -7,13 +7,11 @@
 //     a hom A → A∖{atoms containing X} without materialising the sub-instance);
 //   * term-injective and variable-to-variable modes (isomorphism search).
 //
-// Thread-safety contract (relied on by core/parallel.h): every search here
-// is a pure function of its arguments plus the per-thread ambient governor
-// (util/governor.h, a thread_local) — no static mutable state, no writes to
-// the pattern or target. Concurrent searches over a shared const AtomSet
-// are safe as long as no thread mutates it; the chase's parallel
-// match-establishment phase guarantees that by fanning out only between
-// mutations. Search order, and hence the result vector, is deterministic.
+// Thread-safety: every search here is a pure function of its arguments plus
+// the per-thread ambient governor (util/governor.h, a thread_local) — no
+// static mutable state, no writes to the pattern or target — so independent
+// runs on different threads (the daemon's scheduler workers) never
+// interfere. Search order, and hence the result vector, is deterministic.
 #ifndef TWCHASE_HOM_MATCHER_H_
 #define TWCHASE_HOM_MATCHER_H_
 
@@ -41,11 +39,9 @@ enum class MatchBackend { kColumnar = 0, kLegacy = 1 };
 void SetMatchBackend(MatchBackend backend);
 MatchBackend CurrentMatchBackend();
 
-/// Ambient chase.match.* telemetry. The chase installs one per run (and the
-/// parallel evaluation re-installs the same object inside its workers, hence
-/// the atomics); every HomSearch folds its probe/scan/fallback and index
-/// (re)build counts into it. Totals are a pure function of the searches
-/// performed, so they are identical at any --threads.
+/// Ambient chase.match.* telemetry. The chase installs one per run; every
+/// HomSearch folds its probe/scan/fallback and index (re)build counts into
+/// it. Totals are a pure function of the searches performed.
 struct MatchCounters {
   std::atomic<uint64_t> index_probes{0};      // column-index EqualRange probes
   std::atomic<uint64_t> column_scans{0};      // full-segment scans (no bound arg)

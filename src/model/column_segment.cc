@@ -66,9 +66,9 @@ ColumnSegment::ProbeResult ColumnSegment::EqualRange(
   ColumnIndex& index = indexes_[col];
   // Merge only when the tail has outgrown the threshold: merging on every
   // append would make the apply-probe-apply loop of a chase round quadratic.
-  // Rows and built_rows are fixed between mutations, so every probe of a
-  // parallel phase computes the same decision — at most one build per
-  // (column, phase), at any thread count.
+  // Rows and built_rows are fixed between mutations, so every probe between
+  // two mutations computes the same decision — at most one build per
+  // (column, mutation-free stretch).
   if (!index.ready.load(std::memory_order_acquire) &&
       rows() - index.built_rows.load(std::memory_order_acquire) >
           kTailMergeThreshold) {

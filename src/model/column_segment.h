@@ -17,9 +17,9 @@
 // Thread-safety: Append follows the owning AtomSet's single-writer
 // discipline and must not race with probes. Concurrent EqualRange calls on a
 // shared const segment are safe: the lazy index build is guarded by a
-// per-column mutex with an acquire/release ready flag, so parallel
-// homomorphism searches (core/parallel.h) can race to a column's first probe
-// and exactly one of them builds.
+// per-column mutex with an acquire/release ready flag, so concurrent
+// readers can race to a column's first probe and exactly one of them
+// builds.
 #ifndef TWCHASE_MODEL_COLUMN_SEGMENT_H_
 #define TWCHASE_MODEL_COLUMN_SEGMENT_H_
 
@@ -92,8 +92,8 @@ class ColumnSegment {
   /// sizes, not capacities, and indexes charged at full materialisation
   /// (one uint32_t per row per column) whether or not the lazy build has
   /// run yet. The governed estimate must be deterministic in the
-  /// instance's content — independent of probe schedules, thread counts
-  /// and copies (which drop built indexes) — and the index charge
+  /// instance's content — independent of probe schedules and copies
+  /// (which drop built indexes) — and the index charge
   /// is the upper bound the resident bytes converge to on first probe.
   size_t ApproxMemoryBytes() const {
     return cols_.size() * slots_.size() * sizeof(TermId) +

@@ -41,9 +41,6 @@ void ObserverList::OnTriggerRetired(const TriggerRetiredEvent& event) {
 void ObserverList::OnCoreRetraction(const CoreRetractionEvent& event) {
   for (ChaseObserver* o : observers_) o->OnCoreRetraction(event);
 }
-void ObserverList::OnParallelRound(const ParallelRoundEvent& event) {
-  for (ChaseObserver* o : observers_) o->OnParallelRound(event);
-}
 void ObserverList::OnMatchPlan(const MatchPlanEvent& event) {
   for (ChaseObserver* o : observers_) o->OnMatchPlan(event);
 }

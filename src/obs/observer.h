@@ -118,30 +118,13 @@ struct CoreRetractionEvent {
   size_t size_after = 0;
 };
 
-/// A round's match establishment ran on the parallel evaluation path
-/// (ChaseOptions::parallel.threads > 1). Pure telemetry: the same run at
-/// threads == 1 emits no such event but is otherwise bit-identical, so the
-/// stock EventLogObserver skips it unless explicitly opted in — event
-/// streams stay comparable across thread counts.
-struct ParallelRoundEvent {
-  size_t round = 0;          // 1-based
-  size_t threads = 0;        // pool size, calling thread included
-  size_t sections = 0;       // parallel sections this round (<= 3)
-  size_t tasks = 0;          // probes dispatched, summed over sections
-  size_t workers_used = 0;   // max workers that ran >= 1 task in a section
-  size_t max_imbalance = 0;  // worst (max - min) per-worker task share
-  double eval_ms = 0;        // wall time inside the sections
-  double merge_ms = 0;       // wall time of the deterministic merges
-};
-
 /// Match-phase plan telemetry for one scheduler round: how the homomorphism
 /// searches of the round resolved their candidate enumerations. Counter
 /// fields are deltas since the previous event, summed over every search the
-/// round ran (establishment, delta probes, application, coring), at any
-/// thread count. Pure telemetry: the legacy per-atom backend emits no such
-/// event but is otherwise bit-identical, so the stock EventLogObserver skips
-/// it unless explicitly opted in — event streams stay comparable across
-/// backends and thread counts.
+/// round ran (establishment, delta probes, application, coring). Pure
+/// telemetry: the legacy per-atom backend emits no such event but is
+/// otherwise bit-identical, so the stock EventLogObserver skips it unless
+/// explicitly opted in — event streams stay comparable across backends.
 struct MatchPlanEvent {
   size_t round = 0;               // 1-based
   uint64_t index_probes = 0;      // sorted-column EqualRange lookups
@@ -238,9 +221,6 @@ class ChaseObserver {
   virtual void OnCoreRetraction(const CoreRetractionEvent& event) {
     (void)event;
   }
-  virtual void OnParallelRound(const ParallelRoundEvent& event) {
-    (void)event;
-  }
   virtual void OnMatchPlan(const MatchPlanEvent& event) { (void)event; }
   virtual void OnPlan(const PlanEvent& event) { (void)event; }
   virtual void OnRoundEnd(const RoundEndEvent& event) { (void)event; }
@@ -267,7 +247,6 @@ class ObserverList : public ChaseObserver {
   void OnTriggerApplied(const TriggerAppliedEvent& event) override;
   void OnTriggerRetired(const TriggerRetiredEvent& event) override;
   void OnCoreRetraction(const CoreRetractionEvent& event) override;
-  void OnParallelRound(const ParallelRoundEvent& event) override;
   void OnMatchPlan(const MatchPlanEvent& event) override;
   void OnPlan(const PlanEvent& event) override;
   void OnRoundEnd(const RoundEndEvent& event) override;

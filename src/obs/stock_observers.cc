@@ -104,8 +104,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   delta_seed_probes_ = registry_->GetCounter("chase.delta.seed_probes");
   core_retractions_ = registry_->GetCounter("chase.core.retractions");
   core_folds_ = registry_->GetCounter("chase.core.folds");
-  parallel_rounds_ = registry_->GetCounter("chase.parallel.rounds");
-  parallel_tasks_ = registry_->GetCounter("chase.parallel.tasks");
   match_index_probes_ = registry_->GetCounter("chase.match.index_probes");
   match_column_scans_ = registry_->GetCounter("chase.match.column_scans");
   match_join_fallbacks_ = registry_->GetCounter("chase.match.join_fallbacks");
@@ -119,9 +117,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   plan_core_certified_ = registry_->GetCounter("chase.plan.core_certified");
   round_ = registry_->GetGauge("chase.round");
   instance_size_ = registry_->GetGauge("chase.instance.size");
-  parallel_threads_ = registry_->GetGauge("chase.parallel.threads");
-  parallel_workers_used_ = registry_->GetGauge("chase.parallel.workers_used");
-  parallel_max_imbalance_ = registry_->GetGauge("chase.parallel.max_imbalance");
   plan_reliance_edges_ = registry_->GetGauge("chase.plan.reliance_edges");
   plan_strata_ = registry_->GetGauge("chase.plan.strata");
   plan_dormant_rules_ = registry_->GetGauge("chase.plan.dormant_rules");
@@ -131,8 +126,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   }
   round_pending_ = registry_->GetHistogram("chase.round.pending");
   step_added_atoms_ = registry_->GetHistogram("chase.step.added_atoms");
-  parallel_eval_ms_ = registry_->GetHistogram("chase.parallel.eval_ms");
-  parallel_merge_ms_ = registry_->GetHistogram("chase.parallel.merge_ms");
 }
 
 void MetricsObserver::UpdatePerStepGauges(size_t step, size_t instance_size,
@@ -179,16 +172,6 @@ void MetricsObserver::OnTriggerRetired(const TriggerRetiredEvent&) {
 void MetricsObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
   core_retractions_->Increment();
   core_folds_->Increment(event.folds);
-}
-
-void MetricsObserver::OnParallelRound(const ParallelRoundEvent& event) {
-  parallel_rounds_->Increment();
-  parallel_tasks_->Increment(event.tasks);
-  parallel_threads_->Set(static_cast<double>(event.threads));
-  parallel_workers_used_->Set(static_cast<double>(event.workers_used));
-  parallel_max_imbalance_->Set(static_cast<double>(event.max_imbalance));
-  parallel_eval_ms_->Observe(event.eval_ms);
-  parallel_merge_ms_->Observe(event.merge_ms);
 }
 
 void MetricsObserver::OnMatchPlan(const MatchPlanEvent& event) {
@@ -290,20 +273,6 @@ void EventLogObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
         << ", \"folds\": " << event.folds
         << ", \"before\": " << event.size_before
         << ", \"after\": " << event.size_after << "}\n";
-}
-
-void EventLogObserver::OnParallelRound(const ParallelRoundEvent& event) {
-  // Skipped by default: this event exists only at --threads > 1, and the
-  // event-stream bit-identity oracle compares logs across thread counts.
-  if (out_ == nullptr || !log_parallel_events_) return;
-  *out_ << "{\"event\": \"parallel_round\", \"round\": " << event.round
-        << ", \"threads\": " << event.threads
-        << ", \"sections\": " << event.sections
-        << ", \"tasks\": " << event.tasks
-        << ", \"workers_used\": " << event.workers_used
-        << ", \"max_imbalance\": " << event.max_imbalance
-        << ", \"eval_ms\": " << FormatMetricNumber(event.eval_ms)
-        << ", \"merge_ms\": " << FormatMetricNumber(event.merge_ms) << "}\n";
 }
 
 void EventLogObserver::OnMatchPlan(const MatchPlanEvent& event) {

@@ -171,6 +171,8 @@ Status ReadOptionsInto(Reader& r, const Json& json, ChaseOptions* options) {
     r.path = base;
   }
 
+  // No effect on the run; goes once perfbench and older clients stop
+  // sending it.
   TWCHASE_RETURN_IF_ERROR(r.RequireObject(json, "parallel", &group));
   if (group != nullptr) {
     r.path = r.Join("parallel");

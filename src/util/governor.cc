@@ -43,15 +43,6 @@ ResourceGovernor::ResourceGovernor(const ResourceLimits& limits,
   }
 }
 
-std::optional<uint64_t> ResourceGovernor::RemainingDeadlineMs() const {
-  if (!has_deadline_) return std::nullopt;
-  auto now = std::chrono::steady_clock::now();
-  if (now >= deadline_at_) return 0;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline_at_ - now)
-          .count());
-}
-
 bool ResourceGovernor::CheckPassive() {
   if (stopped_) return true;
   if (limits_.cancel.cancel_requested()) {

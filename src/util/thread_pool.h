@@ -1,67 +1,19 @@
-// A fixed pool of worker threads for the parallel trigger-evaluation
-// subsystem (core/parallel.h). The pool spawns `threads - 1` background
-// workers once and keeps them parked on a condition variable between
-// dispatches; the calling thread always participates as worker 0, so a
-// pool of size 1 never spawns anything and RunOnAllWorkers degenerates to
-// a plain function call.
-//
-// The pool is deliberately *not* a task queue: one dispatch runs one
-// function once per worker, and the callers (ParallelTriggerEval) own the
-// task-claiming protocol — an atomic cursor over a task array whose results
-// land in per-task slots, so the merge order never depends on scheduling.
-// That split keeps determinism concerns out of this file entirely: nothing
-// here affects which results are produced, only who produces them.
+// Hardware concurrency query. Every chase run uses one thread, the caller's,
+// so nothing in the engine consults it.
 #ifndef TWCHASE_UTIL_THREAD_POOL_H_
 #define TWCHASE_UTIL_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <functional>
-#include <mutex>
 #include <thread>
-#include <vector>
 
 namespace twchase {
 
-class ThreadPool {
- public:
-  /// Total worker count, calling thread included: a pool of `threads`
-  /// spawns `threads - 1` background threads. `threads == 0` is treated
-  /// as 1 (sequential).
-  explicit ThreadPool(size_t threads);
-
-  /// Joins all background workers. Must not be called while a dispatch is
-  /// in flight (RunOnAllWorkers blocks until every worker returned, so
-  /// normal destruction is safe).
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total worker count, calling thread included.
-  size_t threads() const { return workers_.size() + 1; }
-
-  /// Runs fn(worker_index) once on every worker — background workers get
-  /// indices 1..threads()-1, the calling thread runs fn(0) — and blocks
-  /// until all invocations returned. fn must not throw (the engine is
-  /// exception-free; a CHECK abort inside a worker aborts the process).
-  void RunOnAllWorkers(const std::function<void(size_t)>& fn);
-
-  /// std::thread::hardware_concurrency with a floor of 1 (the standard
-  /// allows 0 for "unknown").
-  static size_t HardwareConcurrency();
-
- private:
-  void WorkerLoop(size_t worker_index);
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable work_ready_;
-  std::condition_variable work_done_;
-  const std::function<void(size_t)>* job_ = nullptr;  // guarded by mu_
-  uint64_t generation_ = 0;                           // guarded by mu_
-  size_t in_flight_ = 0;                              // guarded by mu_
-  bool shutdown_ = false;                             // guarded by mu_
+struct ThreadPool {
+  /// No effect on any run; goes once perfbench stops calling it.
+  static size_t HardwareConcurrency() {
+    unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? 1 : static_cast<size_t>(n);
+  }
 };
 
 }  // namespace twchase

@@ -183,14 +183,13 @@ void ExpectCursorMatchesLive(const Derivation& derivation,
 
 enum class Coring { kEvery1, kEvery3, kRoundEnd };
 
-ChaseOptions MatrixOptions(ChaseVariant variant, Coring coring,
-                           size_t threads, bool plan, size_t max_steps) {
+ChaseOptions MatrixOptions(ChaseVariant variant, Coring coring, bool plan,
+                           size_t max_steps) {
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
   options.core.core_every = coring == Coring::kEvery3 ? 3 : 1;
   options.core.core_at_round_end = coring == Coring::kRoundEnd;
-  options.parallel.threads = threads;
   options.plan.enabled = plan;
   return options;
 }
@@ -228,22 +227,18 @@ TEST(DerivationCursorTest, RebuildEqualsLiveAcrossConfigurations) {
           ChaseVariant::kCore}) {
       for (Coring coring : {Coring::kEvery1, Coring::kEvery3,
                             Coring::kRoundEnd}) {
-        for (size_t threads : {1u, 4u}) {
-          for (bool plan : {true, false}) {
-            SCOPED_TRACE(program.name + " " + ChaseVariantName(variant) +
-                         " coring=" + std::to_string(static_cast<int>(coring)) +
-                         " threads=" + std::to_string(threads) +
-                         " plan=" + std::to_string(plan));
-            KnowledgeBase kb = program.make();
-            LiveInstanceRecorder recorder(kb.vocab.get());
-            ChaseOptions options =
-                MatrixOptions(variant, coring, threads, plan, 30);
-            options.observer = &recorder;
-            auto run = RunChase(kb, options);
-            ASSERT_TRUE(run.ok()) << run.status();
-            ExpectCursorMatchesLive(run->derivation, recorder.snapshots(),
-                                    *kb.vocab);
-          }
+        for (bool plan : {true, false}) {
+          SCOPED_TRACE(program.name + " " + ChaseVariantName(variant) +
+                       " coring=" + std::to_string(static_cast<int>(coring)) +
+                       " plan=" + std::to_string(plan));
+          KnowledgeBase kb = program.make();
+          LiveInstanceRecorder recorder(kb.vocab.get());
+          ChaseOptions options = MatrixOptions(variant, coring, plan, 30);
+          options.observer = &recorder;
+          auto run = RunChase(kb, options);
+          ASSERT_TRUE(run.ok()) << run.status();
+          ExpectCursorMatchesLive(run->derivation, recorder.snapshots(),
+                                  *kb.vocab);
         }
       }
     }
@@ -253,8 +248,7 @@ TEST(DerivationCursorTest, RebuildEqualsLiveAcrossConfigurations) {
 TEST(DerivationCursorTest, RebuildEqualsLiveAfterResumeFromCheckpoint) {
   for (Coring coring : {Coring::kEvery1, Coring::kRoundEnd}) {
     SCOPED_TRACE(static_cast<int>(coring));
-    ChaseOptions first =
-        MatrixOptions(ChaseVariant::kCore, coring, 1, true, 20);
+    ChaseOptions first = MatrixOptions(ChaseVariant::kCore, coring, true, 20);
     first.resume.record_log = true;
     auto stopped = RunChase(ElevatorWorld().kb(), first);
     ASSERT_TRUE(stopped.ok());

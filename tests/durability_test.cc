@@ -478,6 +478,41 @@ TEST(JobStoreTest, AdmitRecordsWithRemovedOptionsStillReplay) {
   }
 }
 
+// Admit records carry the options' "parallel" group (older twchase_client
+// builds sent the hardware concurrency there). It has no effect on the run
+// but must keep replaying.
+TEST(JobStoreTest, AdmitRecordsCarryingParallelThreadsStillReplay) {
+  std::string dir = FreshStateDir();
+  JobStoreOptions options;
+  options.state_dir = dir;
+  ChaseOptions threaded = CoreOptions(10);
+  threaded.parallel.threads = 4;
+  {
+    auto store = JobStore::Open(options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(
+        (*store)->AppendAdmit("j-1", MakeRequest("t", kClosure, threaded), 1)
+            .ok());
+  }
+  const std::string manifest = ReadFileOrDie(dir + "/manifest.wal");
+  EXPECT_NE(manifest.find("\"parallel\":{\"threads\":4}"), std::string::npos)
+      << manifest;
+
+  std::vector<RecoveredJob> jobs;
+  JobStore::ReplayStats stats = JobStore::ReplayManifest(manifest, &jobs);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.valid_bytes, manifest.size());
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].id, "j-1");
+  EXPECT_EQ(jobs[0].request.options.parallel.threads, 4u);
+  EXPECT_EQ(jobs[0].request.options.limits.max_steps, 10u);
+
+  auto reopened = JobStore::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->TakeRecovered().size(), 1u);
+  EXPECT_EQ(ReadFileOrDie(dir + "/manifest.wal"), manifest);
+}
+
 TEST(JobStoreTest, TombstonesEvictAndCrossingThresholdCompacts) {
   std::string dir = FreshStateDir();
   JobStoreOptions options;

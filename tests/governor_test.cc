@@ -7,7 +7,9 @@
 // and mid-run deadline stops.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/chase.h"
@@ -111,6 +113,28 @@ TEST(GovernorBoundaryTest, MidRunCancellationKeepsConsistentPrefix) {
         << ChaseVariantName(variant);
     EXPECT_GE(run->derivation.Last().size(), 1u) << ChaseVariantName(variant);
   }
+}
+
+// Cross-thread cancellation, as the daemon does it: another thread fires the
+// token while the oblivious chase (which never terminates on the staircase
+// family) is mid-run. The run must stop with kCancelled and a consistent
+// prefix rather than hang or crash.
+TEST(GovernorBoundaryTest, CrossThreadCancelStopsObliviousRun) {
+  ChaseOptions options;
+  options.variant = ChaseVariant::kOblivious;
+  options.limits.max_steps = 100000000;
+  options.limits.cancel = CancelToken::Create();
+  CancelToken token = options.limits.cancel;
+  std::thread canceller([token] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    token.RequestCancel();
+  });
+  auto run = RunChase(StaircaseWorld().kb(), options);
+  canceller.join();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->stop_reason, StopReason::kCancelled);
+  EXPECT_EQ(run->derivation.size(), run->steps + 1);
+  EXPECT_GT(run->derivation.Last().size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

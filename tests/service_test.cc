@@ -461,6 +461,70 @@ TEST(DaemonTest, ServesJobResultsIdenticalToInProcessRuns) {
   EXPECT_EQ(daemon.InFlightJobs(), 0u);
 }
 
+// perfbench and older twchase_client builds send a "parallel" group. A run
+// uses one thread whatever it says: the job is accepted and renders the same
+// result text (wall-clock field aside) and event stream as without it. The
+// group's values are still validated.
+TEST(DaemonTest, ParallelGroupIsAcceptedAndChangesNothing) {
+  DaemonOptions options;
+  options.workers = 2;
+  options.preempt_after_ms.reset();
+  ChaseDaemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  DaemonClient client(daemon.port());
+
+  auto job = [](const char* parallel) {
+    Json body = Json::Object();
+    body.Set("schema_version", Json::Number(uint64_t{kWireSchemaVersion}));
+    body.Set("tenant", Json::String("alpha"));
+    body.Set("program", Json::String(kStaircase));
+    body.Set("capture_events", Json::Bool(true));
+    auto opts = Json::Parse(std::string(R"({"variant": "core", )") +
+                            R"("limits": {"max_steps": 40})" + parallel + "}");
+    EXPECT_TRUE(opts.ok()) << parallel;
+    body.Set("options", *opts);
+    return body;
+  };
+  // The wall-clock field of the summary line, as tools/check.sh strips it.
+  auto text = [](const Json& result) {
+    std::string t = result.Get("text").string_value();
+    size_t secs = t.find("s, stop:");
+    size_t start = t.rfind(", ", secs);
+    EXPECT_NE(secs, std::string::npos) << t;
+    return t.erase(start, secs - start);
+  };
+
+  std::string plain = client.Submit(job(""));
+  std::string with_threads =
+      client.Submit(job(R"(, "parallel": {"threads": 4})"));
+  ASSERT_EQ(client.AwaitTerminal(plain), "done");
+  ASSERT_EQ(client.AwaitTerminal(with_threads), "done");
+  Json want = client.Result(plain);
+  Json got = client.Result(with_threads);
+  EXPECT_EQ(text(got), text(want));
+  EXPECT_FALSE(want.Get("events").string_value().empty());
+  EXPECT_EQ(got.Get("events").string_value(),
+            want.Get("events").string_value());
+
+  for (const char* bad : {R"(, "parallel": {"threads": 0})",
+                          R"(, "parallel": {"threads": -2})"}) {
+    HttpResponse rejected = client.Fetch("POST", "/v1/jobs", job(bad).Dump());
+    EXPECT_EQ(rejected.status, 400) << bad;
+    auto parsed = Json::Parse(rejected.body);
+    ASSERT_TRUE(parsed.ok()) << rejected.body;
+    EXPECT_EQ(parsed->Get("error")
+                  .Get("fields")
+                  .items()[0]
+                  .Get("path")
+                  .string_value(),
+              "options.parallel.threads")
+        << bad;
+  }
+
+  daemon.Stop();
+  EXPECT_EQ(daemon.InFlightJobs(), 0u);
+}
+
 TEST(DaemonTest, QuotaRejectionsDoNotPerturbRunningJobs) {
   DaemonOptions options;
   options.workers = 1;

@@ -6,6 +6,7 @@
 #include "util/random.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace twchase {
 namespace {
@@ -111,6 +112,10 @@ TEST(StopwatchTest, MeasuresElapsed) {
   EXPECT_GE(t1, 0.0);
   sw.Restart();
   EXPECT_GE(sw.ElapsedMillis(), 0.0);
+}
+
+TEST(ThreadPoolTest, HardwareConcurrencyIsAtLeastOne) {
+  EXPECT_GE(ThreadPool::HardwareConcurrency(), 1u);
 }
 
 }  // namespace

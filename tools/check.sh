@@ -1,52 +1,45 @@
 #!/usr/bin/env sh
 # Local gate mirroring what CI would run:
 #   1. tier-1: configure + build + full ctest under the default preset;
-#   2. golden parallel bit-identity: the CLI must produce identical output
-#      (modulo the wall-clock field) at --threads=1, 4 and the hardware
-#      concurrency on every bundled program — the cheap end-to-end check of
-#      the deterministic-merge invariant (tests/parallel_chase_test.cc is
-#      the thorough one);
-#   3. bounded-memory gate: the CLI at default options runs perfbench's large
+#   2. bounded-memory gate: the CLI at default options runs perfbench's large
 #      triangle Datalog program to fixpoint under a peak-RSS bound (the
 #      derivation keeps a journal, not a snapshot per step);
-#   4. twgen gates: the label-soundness sweep (500 seeded programs — every
+#   3. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
 #      label must diverge under every variant) and a seeded differential
-#      sweep smoke (all five variants × both match backends × threads 1/4 ×
-#      plan on/off, bit-identity cross-checked per config);
-#   5. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
+#      sweep smoke (all five variants × both match backends × plan on/off,
+#      bit-identity cross-checked per config);
+#   4. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
 #      robustness, columnar, plan, durability and analysis labelled suites
 #      under it (fault-injection, checkpoint/resume, the columnar storage
 #      layer, the planner's still-core guard, the torn-write/replay recovery
 #      paths and the preflight's sandboxed dynamic probes are exactly the
 #      code that must be memory-clean);
-#   6. TSan: ThreadSanitizer build, then the parallel, columnar, plan,
-#      service and analysis labelled suites under it to race-check the
-#      worker pool, sharded metrics, the lazy column-index builds that
-#      parallel searches race on, the planner's dormant-rule skips inside
-#      parallel rounds, the daemon's HTTP handler pool + job scheduler +
-#      preemption monitor, and the sweep's backend switching;
-#   7. daemon smoke: start twchased on an ephemeral port, submit the bundled
+#   5. TSan: ThreadSanitizer build, then the obs, columnar, plan, service
+#      and analysis labelled suites under it to race-check the sharded
+#      metrics, the daemon's HTTP handler pool + job scheduler + preemption
+#      monitor, and the sweep's backend switching;
+#   6. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
 #      exact same answer, including a --variant=auto submission whose
 #      daemon-side preflight must match the CLI's; then a clean SIGTERM
 #      shutdown with zero leaked jobs;
-#   8. crash recovery: start twchased with --state-dir, submit a slow and a
+#   7. crash recovery: start twchased with --state-dir, submit a slow and a
 #      fast job, SIGKILL the daemon mid-run, restart it on the same state
 #      directory and await both jobs — each result must be byte-identical
 #      (modulo the wall-clock field) to an uninterrupted CLI run of the same
 #      program, whether it was served from the retained terminal record or
 #      resumed from the last durable checkpoint;
-#   9. fuzz smoke: short runs of the parser fuzz harness and the recovery
+#   8. fuzz smoke: short runs of the parser fuzz harness and the recovery
 #      fuzz harness (checkpoint + manifest parsers over the seed corpus of
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
-#  10. bench smoke: the full bench_engine sweep (delta, threads, matching
-#      backends, large instances, planner, service throughput, the preflight
-#      sweep) under a generous wall-time ceiling — it fails on parity
-#      violations, a tripped memory budget, or a hang;
-#  11. planner regression gate: from the bench smoke artifact, the
+#   9. bench smoke: the full bench_engine sweep (delta, matching backends,
+#      large instances, planner, service throughput, the preflight sweep)
+#      under a generous wall-time ceiling — it fails on parity violations, a
+#      tripped memory budget, or a hang;
+#  10. planner regression gate: from the bench smoke artifact, the
 #      staircase-core workload must not be slower with the planner on than
 #      off — the planner only ever skips work, so a regression means the
 #      reliance/guard machinery itself got too expensive.
@@ -71,23 +64,6 @@ echo "== tier-1: default preset =="
 cmake --preset default
 cmake --build --preset default -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --preset default
-
-echo "== golden parallel bit-identity: --threads=1/4/hw on bundled programs =="
-HW_THREADS="$(nproc 2>/dev/null || echo 1)"
-for program in data/*.twc; do
-  ./build/tools/twchase_cli --variant=core --max-steps=20 --print-result \
-      --threads=1 "$program" | sed 's/ [0-9][0-9.]*s,/ TIME,/' > /tmp/twchase_golden.out
-  for threads in 4 "$HW_THREADS"; do
-    ./build/tools/twchase_cli --variant=core --max-steps=20 --print-result \
-        --threads="$threads" "$program" | sed 's/ [0-9][0-9.]*s,/ TIME,/' \
-        > /tmp/twchase_parallel.out
-    if ! diff -u /tmp/twchase_golden.out /tmp/twchase_parallel.out; then
-      echo "BIT-IDENTITY VIOLATION: $program at --threads=$threads" >&2
-      exit 1
-    fi
-  done
-  echo "  $program: identical at threads 1/4/$HW_THREADS"
-done
 
 echo "== bounded-memory gate: large triangle Datalog at default options =="
 # The derivation keeps F_0, the step journal and the final instance, so the
@@ -131,11 +107,11 @@ cmake --build --preset asan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-asan \
   --output-on-failure -L 'delta|obs|robustness|columnar|plan|durability|analysis'
 
-echo "== tsan: thread preset, parallel+columnar+plan+service+analysis labels =="
+echo "== tsan: thread preset, obs+columnar+plan+service+analysis labels =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-tsan \
-  --output-on-failure -L 'parallel|columnar|plan|service|analysis'
+  --output-on-failure -L 'obs|columnar|plan|service|analysis'
 
 echo "== daemon smoke: twchased round-trip vs the CLI on bundled programs =="
 ./build/tools/twchased --port=0 > /tmp/twchased_smoke.log 2>&1 &

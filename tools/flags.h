@@ -98,7 +98,7 @@ class ArgMatcher {
   }
 
   /// SizeValue with an inclusive [min, max] range check on the parsed
-  /// value (e.g. --threads must be at least 1).
+  /// value (e.g. --http-threads must be at least 1).
   bool BoundedSizeValue(const char* name, size_t* out, size_t min,
                         size_t max) {
     std::string text;

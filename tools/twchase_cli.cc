@@ -21,9 +21,6 @@
 //     --deadline-ms=N      wall-clock budget (0 stops at the first boundary;
 //                          omit the flag for unlimited)
 //     --memory-budget-mb=N estimated-memory budget (0 = unlimited)
-//     --threads=N          worker threads for trigger evaluation (default:
-//                          hardware concurrency; 1 = sequential; results
-//                          are bit-identical at any N)
 //     --match-backend=columnar|legacy   homomorphism matching backend
 //                          (default: columnar; results are bit-identical
 //                          on either)
@@ -58,7 +55,6 @@
 #include "tools/flags.h"
 #include "tw/treewidth.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -81,7 +77,7 @@ int Usage(const char* argv0) {
                "usage: %s [--variant=V] [--max-steps=N] [--core-every=N] "
                "[--measures] [--robust] [--analyze] [--trace] "
                "[--print-result] [--metrics-out=FILE] [--events-out=FILE] "
-               "[--deadline-ms=N] [--memory-budget-mb=N] [--threads=N] "
+               "[--deadline-ms=N] [--memory-budget-mb=N] "
                "[--match-backend=B] [--plan=on|off] [--checkpoint-out=FILE] "
                "[--resume-from=FILE] <program-file>\n",
                argv0);
@@ -105,8 +101,6 @@ bool ParseVariant(const std::string& name, twchase::ChaseVariant* out) {
 
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   options->chase.variant = twchase::ChaseVariant::kCore;
-  // The library default is sequential; the CLI defaults to the machine.
-  options->chase.parallel.threads = twchase::ThreadPool::HardwareConcurrency();
   size_t deadline_ms = 0;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -152,8 +146,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
                m.ScaledSizeValue("--memory-budget-mb",
                                  &options->chase.limits.memory_budget_bytes,
                                  size_t{1024} * 1024) ||
-               m.BoundedSizeValue("--threads",
-                                  &options->chase.parallel.threads, 1, 1024) ||
                m.Value("--checkpoint-out", &options->checkpoint_out) ||
                m.Value("--resume-from", &options->resume_from) ||
                m.Flag("--measures", &options->measures) ||
