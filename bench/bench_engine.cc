@@ -25,6 +25,9 @@
 // and verdict per witness program (the paper's worlds plus twgen-generated
 // programs of every labeled class), failing on any misclassification — the
 // cost of --variant=auto is this sweep's headline number.
+// A seventh section measures resume latency: one staircase core run paused
+// at 200, 800, 1600 and 3200 steps, going on by an in-memory Continue() and
+// by checkpoint → ResumeChase (median and quartiles of repeated samples).
 //
 // `--micro` mode: the google-benchmark microbenchmarks of the substrate
 // costs underlying every figure (homomorphism search, core computation,
@@ -43,10 +46,13 @@
 #include "analysis/generator.h"
 #include "analysis/preflight.h"
 #include "core/chase.h"
+#include "core/checkpoint.h"
+#include "core/session.h"
 #include "hom/core.h"
 #include "parser/parser.h"
 #include "hom/matcher.h"
 #include "obs/metrics.h"
+#include "obs/observer.h"
 #include "kb/examples.h"
 #include "kb/generators.h"
 #include "kb/knowledge_base.h"
@@ -764,6 +770,132 @@ std::string RunPreflightSweep(MetricsRegistry* registry) {
   return json;
 }
 
+// ---------------------------------------------------------------------------
+// Resume latency.
+
+// Parks a session whenever the step it waits for is committed, and records
+// the instance hash of every committed step.
+class StepPauser : public ChaseObserver {
+ public:
+  void OnTriggerApplied(const TriggerAppliedEvent& event) override {
+    hashes.push_back(event.instance->ContentHash());
+    if (event.step == target) session->Pause();
+  }
+
+  ChaseSession* session = nullptr;
+  size_t target = 0;
+  std::vector<uint64_t> hashes;  // hashes[i] is F_{i+1}'s
+};
+
+// "{median, p25, p75}" of `samples` (ms), nearest-rank.
+std::string Quartiles(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double q) {
+    return samples[static_cast<size_t>(q * (samples.size() - 1) + 0.5)];
+  };
+  char buffer[128];
+  std::snprintf(buffer, sizeof(buffer),
+                "{\"median\": %.3f, \"p25\": %.3f, \"p75\": %.3f}", at(0.5),
+                at(0.25), at(0.75));
+  return buffer;
+}
+
+// What it costs to go on with a paused run, two ways. One live staircase
+// core run (resume log on) is paused at 200, 800, 1600 and 3200 steps. At
+// each point the sweep times kReps samples of (a) Continue() of the paused
+// session to the next committed step, over consecutive steps, and (b) the
+// pause's checkpoint text → ParseCheckpoint → a fresh world → ResumeChase
+// to that same next step, which replays the whole prefix first. Both
+// include the live cost of the one new step, so their difference is the
+// cost of resuming. Fails on any resumed step whose instance differs from
+// the live run's. Returns the "resume_latency" JSON object (empty string on
+// any failure).
+std::string RunResumeLatencySweep(MetricsRegistry* registry) {
+  const size_t pause_points[] = {200, 800, 1600, 3200};
+  constexpr size_t kReps = 5;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kCore;
+  options.limits.max_steps = 3200 + kReps;
+  options.resume.record_log = true;
+  StepPauser pauser;
+  ChaseOptions live_options = options;
+  live_options.observer = &pauser;
+  KnowledgeBase kb = StaircaseWorld().kb();
+  auto session = ChaseSession::Create(kb, live_options);
+  if (!session.ok()) return "";
+  pauser.session = session->get();
+
+  std::string json =
+      "  \"resume_latency\": {\n    \"workload\": \"staircase-core\", "
+      "\"reps\": " + std::to_string(kReps) + ",\n    \"rows\": [\n";
+  std::printf("\n%-26s %10s %12s %12s\n", "resume latency", "ckpt KB",
+              "continue ms", "resume ms");
+  bool started = false;
+  for (size_t point : pause_points) {
+    pauser.target = point;
+    Status run = started ? (*session)->Continue() : (*session)->Start();
+    started = true;
+    if (!run.ok() || (*session)->state() != ChaseSession::State::kPaused) {
+      std::fprintf(stderr, "resume latency: run did not pause at %zu\n",
+                   point);
+      return "";
+    }
+    auto checkpoint = (*session)->Checkpoint();
+    if (!checkpoint.ok()) return "";
+    const std::string text = SerializeCheckpoint(*checkpoint);
+
+    std::vector<double> continue_ms;
+    for (size_t rep = 1; rep <= kReps; ++rep) {
+      pauser.target = point + rep;
+      Stopwatch watch;
+      run = (*session)->Continue();
+      continue_ms.push_back(watch.ElapsedMillis());
+      if (!run.ok() || pauser.hashes.size() != point + rep) return "";
+    }
+    std::vector<double> resume_ms;
+    ChaseOptions resume_options = options;
+    resume_options.limits.max_steps = point + 1;
+    for (size_t rep = 0; rep < kReps; ++rep) {
+      Stopwatch watch;
+      auto parsed = ParseCheckpoint(text);
+      if (!parsed.ok()) return "";
+      KnowledgeBase fresh = StaircaseWorld().kb();
+      auto resumed = ResumeChase(fresh, resume_options, *parsed);
+      resume_ms.push_back(watch.ElapsedMillis());
+      if (!resumed.ok() || resumed->steps != point + 1 ||
+          resumed->derivation.Last().ContentHash() != pauser.hashes[point]) {
+        std::fprintf(stderr,
+                     "PARITY VIOLATION in resume latency at %zu steps\n",
+                     point);
+        return "";
+      }
+    }
+    const std::string prefix = "resume.at_" + std::to_string(point);
+    for (double ms : continue_ms) {
+      registry->GetHistogram(prefix + ".continue_ms")->Observe(ms);
+    }
+    for (double ms : resume_ms) {
+      registry->GetHistogram(prefix + ".resume_ms")->Observe(ms);
+    }
+    std::sort(continue_ms.begin(), continue_ms.end());
+    std::sort(resume_ms.begin(), resume_ms.end());
+    const std::string label = "paused at " + std::to_string(point);
+    std::printf("%-26s %10.1f %12.2f %12.2f\n", label.c_str(),
+                text.size() / 1024.0, continue_ms[kReps / 2],
+                resume_ms[kReps / 2]);
+    char buffer[96];
+    std::snprintf(buffer, sizeof(buffer),
+                  "      {\"paused_at\": %zu, \"checkpoint_kb\": %.1f, ", point,
+                  text.size() / 1024.0);
+    json += buffer;
+    json += "\"continue_ms\": " + Quartiles(continue_ms) +
+            ", \"resume_ms\": " + Quartiles(resume_ms) + "}";
+    json += point == pause_points[3] ? "\n" : ",\n";
+  }
+  json += "    ]\n  }";
+  return json;
+}
+
 int RunDeltaSweep(const char* output_path) {
   std::vector<SweepWorkload> workloads;
   workloads.push_back({"transitive-closure-12", ChaseVariant::kRestricted,
@@ -838,6 +970,9 @@ int RunDeltaSweep(const char* output_path) {
   std::string preflight_sweep = RunPreflightSweep(&registry);
   if (preflight_sweep.empty()) return 1;
   json += preflight_sweep + ",\n";
+  std::string resume_latency = RunResumeLatencySweep(&registry);
+  if (resume_latency.empty()) return 1;
+  json += resume_latency + ",\n";
   json += "  \"metrics\": " + registry.ToJson(2) + "\n}\n";
 
   if (FILE* out = std::fopen(output_path, "w")) {

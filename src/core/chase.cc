@@ -1,7 +1,9 @@
 #include "core/chase.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -135,7 +137,6 @@ struct RoundPlanStats {
 // cores. The cursor deactivates — execution "goes live" — exactly at the
 // boundary where the recorded run stopped.
 struct ReplayCursor {
-  const ResumeLog* log = nullptr;
   size_t round_index = 0;
   size_t bit_index = 0;
   size_t step_index = 0;
@@ -152,241 +153,127 @@ struct Coring {
   bool aborted = false;    // the governor stopped ComputeCore; nothing moved
 };
 
+// One of a round's triggers: a stored match of one rule.
+struct PendingTrigger {
+  int rule_index;
+  bool datalog;
+  size_t match_index;
+};
+
 }  // namespace
 
-// The one-shot compatibility surface: both free functions are thin wrappers
-// over ChaseSession (core/session.h), which owns validation and lifecycle.
-// A session that is only ever started is exactly the historical run — the
-// goldens and the differential suites pin the bit-identity.
-StatusOr<ChaseResult> RunChase(const KnowledgeBase& kb,
-                               const ChaseOptions& options) {
-  return RunChaseWithReplay(kb, options, nullptr);
-}
-
-StatusOr<ChaseResult> RunChaseWithReplay(const KnowledgeBase& kb,
-                                         const ChaseOptions& options,
-                                         const ResumeLog* replay) {
-  auto session = ChaseSession::Create(kb, options);
-  if (!session.ok()) return session.status();
-  TWCHASE_RETURN_IF_ERROR((*session)->StartWithReplay(replay));
-  return (*session)->TakeResult();
-}
-
-namespace internal {
-
-StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
-                                   const ChaseOptions& options,
-                                   const ResumeLog* replay) {
-  if (kb.vocab == nullptr) {
-    return Status::InvalidArgument("knowledge base has no vocabulary");
-  }
-  TWCHASE_RETURN_IF_ERROR(options.Validate());
-  // A log that never committed anything records a run that stopped before
-  // the initial element; replaying it is a plain fresh run.
-  if (replay != nullptr && !replay->have_initial) replay = nullptr;
-  Vocabulary* vocab = kb.vocab.get();
-  const bool is_core = options.variant == ChaseVariant::kCore;
-  const bool delta_on = options.delta.enabled;
-  // The observer is a read-only tap; every emission site below is a single
-  // untaken branch when no observer is attached.
-  ChaseObserver* const obs = options.observer;
-  // Monotone variants never erase atoms, so a trigger once applied — or, for
-  // the restricted chase, once satisfied — can never become active again:
-  // the delta evaluation retires such matches instead of re-checking them
-  // every round. Frugal and core runs erase atoms (satisfaction is not
-  // stable), so their matches are kept and re-checked.
-  const bool retire_considered =
-      delta_on && (options.variant == ChaseVariant::kOblivious ||
-                   options.variant == ChaseVariant::kSemiOblivious ||
-                   options.variant == ChaseVariant::kRestricted);
-
-  ChaseResult result;
-  ScopedCrashContext crash_context("chase run", &result.steps);
-
-  // Cooperative resource governance: the governor is polled at every
-  // trigger/round boundary here and at every search node inside the
-  // homomorphism, coring, entailment and treewidth procedures via the
-  // ambient scope. Once it stops, nothing past the last committed step is
-  // trusted: partial search results are discarded, uncommitted mutations
-  // rolled back, and the run returns the consistent prefix.
-  ResourceLimits governor_limits;
-  governor_limits.deadline_ms = options.limits.deadline_ms;
-  governor_limits.memory_budget_bytes = options.limits.memory_budget_bytes;
-  governor_limits.cancel = options.limits.cancel;
-  ResourceGovernor governor(governor_limits);
-  GovernorScope governor_scope(&governor);
-
-  // Ambient chase.match.* telemetry: every homomorphism search of this run
-  // (trigger enumeration, satisfaction checks, core folds) folds its
-  // probe/scan/build counts in here. Totals are a pure function of the
-  // searches performed.
-  MatchCounters match_counters;
-  MatchCountersScope match_scope(&match_counters);
-  auto fold_match_stats = [&]() {
-    result.stats.match_index_probes =
-        match_counters.index_probes.load(std::memory_order_relaxed);
-    result.stats.match_column_scans =
-        match_counters.column_scans.load(std::memory_order_relaxed);
-    result.stats.match_join_fallbacks =
-        match_counters.join_fallbacks.load(std::memory_order_relaxed);
-    result.stats.match_index_builds =
-        match_counters.index_builds.load(std::memory_order_relaxed);
-    result.stats.match_index_build_bytes =
-        match_counters.index_build_bytes.load(std::memory_order_relaxed);
+// The engine state of one session's run: everything the scheduler carries
+// from one boundary to the next, so a paused run continues in memory exactly
+// where it parked. Each phase of a round is one method; Advance drives them
+// for one segment under that segment's governor.
+struct ChaseSession::Run {
+  enum class Flow {
+    kNext,      // go on with the round's next trigger
+    kRoundEnd,  // the trigger loop is over; go on to round-end coring
+    kStop,      // the governor or the replay stopped the run
+    kPark,      // a pause was requested at this boundary
   };
 
-  // Counter values already reported through MatchPlanEvent, so each round's
-  // event carries deltas. Besides the round ends, this is flushed once after
-  // the scheduler loop (and on the pre-run budget-stop path): a mid-round
-  // stop used to drop the final round's counts from any attached
-  // MetricsRegistry while ChaseStats kept them.
-  MatchPlanEvent match_reported;
-  auto emit_match_plan_delta = [&](size_t round) {
-    if (obs == nullptr) return;
-    MatchPlanEvent plan;
-    plan.round = round;
-    plan.index_probes =
-        match_counters.index_probes.load(std::memory_order_relaxed) -
-        match_reported.index_probes;
-    plan.column_scans =
-        match_counters.column_scans.load(std::memory_order_relaxed) -
-        match_reported.column_scans;
-    plan.join_fallbacks =
-        match_counters.join_fallbacks.load(std::memory_order_relaxed) -
-        match_reported.join_fallbacks;
-    plan.index_builds =
-        match_counters.index_builds.load(std::memory_order_relaxed) -
-        match_reported.index_builds;
-    plan.index_build_bytes =
-        match_counters.index_build_bytes.load(std::memory_order_relaxed) -
-        match_reported.index_build_bytes;
-    if (plan.index_probes + plan.column_scans + plan.join_fallbacks +
-            plan.index_builds + plan.index_build_bytes ==
-        0) {
-      return;
+  Run(const KnowledgeBase& kb, const ChaseOptions& options,
+      std::optional<ResumeLog> replay)
+      : kb(kb),
+        options(options),
+        vocab(kb.vocab.get()),
+        obs(options.observer),
+        is_core(options.variant == ChaseVariant::kCore),
+        delta_on(options.delta.enabled),
+        retire_considered(
+            delta_on && (options.variant == ChaseVariant::kOblivious ||
+                         options.variant == ChaseVariant::kSemiOblivious ||
+                         options.variant == ChaseVariant::kRestricted)),
+        plan_on(options.plan.enabled),
+        core_guard_on(plan_on && options.plan.core_guard && is_core),
+        rec(options.resume.record_log ? &result.resume_log : nullptr),
+        current(kb.facts) {
+    // A log that never committed anything records a run that stopped before
+    // the initial element; replaying it is a plain fresh run.
+    if (replay.has_value() && replay->have_initial) {
+      replay_log = std::move(*replay);
+      cursor.active = true;
     }
-    obs->OnMatchPlan(plan);
-    match_reported.index_probes += plan.index_probes;
-    match_reported.column_scans += plan.column_scans;
-    match_reported.join_fallbacks += plan.join_fallbacks;
-    match_reported.index_builds += plan.index_builds;
-    match_reported.index_build_bytes += plan.index_build_bytes;
-  };
+  }
 
-  // Still-core guard (plan/core_guard.h). The instance is a certified core
-  // exactly while `guard_base_established`: every certified variable was
-  // minted before `guard_base_mark` and `guard_atoms_since` holds the atoms
-  // added since certification. Certification sites are exactly the live
-  // coring successes (initial, per-step, round-end) and guard proofs;
-  // replayed retractions never certify (the base predates the replayed
-  // mutations).
-  const bool plan_on = options.plan.enabled;
-  const bool core_guard_on = plan_on && options.plan.core_guard && is_core;
-  bool guard_base_established = false;
-  uint32_t guard_base_mark = 0;
-  std::vector<Atom> guard_atoms_since;
-  auto note_certified = [&]() {
+  // Runs until the chase finishes (true) or parks at a boundary because
+  // `pause_flag` was set (false). Error only when a resumed replay did not
+  // land on the checkpointed state.
+  StatusOr<bool> Advance(std::atomic<bool>* pause_flag) {
+    ScopedCrashContext crash_context("chase run", &result.steps);
+    ResourceLimits limits;
+    limits.deadline_ms = options.limits.deadline_ms;
+    limits.memory_budget_bytes = options.limits.memory_budget_bytes;
+    limits.cancel = options.limits.cancel;
+    ResourceGovernor segment_governor(limits);
+    GovernorScope governor_scope(&segment_governor);
+    MatchCountersScope match_scope(&match_counters);
+    governor = &segment_governor;
+    governor->NoteMemoryUsage(memory_estimate);
+    pause = pause_flag;
+
+    bool running = true;
+    if (!began) {
+      began = true;
+      running = Begin();
+    }
+    while (running) {
+      if (!in_round) {
+        if (result.steps >= options.limits.max_steps) break;
+        if (Parked()) return false;
+        if (!BeginRound()) break;
+      }
+      const Flow flow = ConsiderTriggers();
+      if (flow == Flow::kPark) return false;
+      running = flow == Flow::kRoundEnd && RoundEndCoring() && EndRound();
+    }
+    if (!replay_error.ok()) return replay_error;
+    Finish();
+    return true;
+  }
+
+  // True (and consumed) when a pause was requested; polled only at round
+  // and trigger boundaries, before their governor poll, so a parked run
+  // re-enters the boundary without counting it twice.
+  bool Parked() {
+    return pause->load(std::memory_order_acquire) &&
+           pause->exchange(false, std::memory_order_acq_rel);
+  }
+
+  void NoteMemory(size_t bytes) {
+    memory_estimate = bytes;
+    governor->NoteMemoryUsage(bytes);
+  }
+
+  void NoteCertified() {
     if (!core_guard_on) return;
     guard_base_established = true;
     guard_base_mark = static_cast<uint32_t>(vocab->num_variables());
     guard_atoms_since.clear();
-  };
-
-  ResumeLog* const rec = options.resume.record_log ? &result.resume_log
-                                                   : nullptr;
-  ReplayCursor cursor;
-  if (replay != nullptr) {
-    cursor.log = replay;
-    cursor.active = true;
   }
-  // Set once, when replay reaches the end of the log but the reconstructed
-  // state does not match the checkpointed one.
-  Status replay_error = Status::OK();
-  AtomSet current = kb.facts;
-  // Deactivates the cursor (all further decisions are live) and, when the
-  // log carries landing-verification data, cross-checks the reconstructed
-  // state against the checkpointed one. Every deactivation site is a full
-  // consumption of the log, so the check fires exactly at the recorded
-  // stop boundary.
-  auto go_live = [&]() {
+
+  // Deactivates the cursor (all further decisions are live) and, when the log
+  // carries landing-verification data, cross-checks the reconstructed state
+  // against the checkpointed one. Every deactivation site is a full
+  // consumption of the log, so the check fires exactly at the recorded stop
+  // boundary.
+  void GoLive() {
     cursor.active = false;
-    if (cursor.log == nullptr || !cursor.log->verify_landing) return;
-    if (current.size() != cursor.log->expected_instance_size ||
-        current.ContentHash() != cursor.log->expected_instance_hash ||
-        vocab->num_variables() != cursor.log->committed_num_variables) {
+    if (!replay_log.verify_landing) return;
+    if (current.size() != replay_log.expected_instance_size ||
+        current.ContentHash() != replay_log.expected_instance_hash ||
+        vocab->num_variables() != replay_log.committed_num_variables) {
       replay_error = Status::FailedPrecondition(
           "resume replay did not reconstruct the checkpointed state "
           "(instance or fresh-null counter mismatch; the checkpoint does "
           "not belong to this knowledge base / options)");
     }
-  };
-
-  governor.NoteMemoryUsage(current.ApproxMemoryBytes());
-  bool budget_stop = governor.ShouldStop(FaultSite::kRoundBoundary);
-
-  Substitution sigma0;
-  size_t initial_folds = 0;
-  size_t initial_size_before = current.size();
-  if (!budget_stop && is_core && options.core.core_initial) {
-    if (cursor.active) {
-      sigma0 = cursor.log->initial_sigma;
-      initial_folds = cursor.log->initial_folds;
-      current = sigma0.Apply(current);
-    } else {
-      CoreResult cored = ComputeCore(current);
-      if (governor.stopped()) {
-        // Coring aborted mid-search: the partial retraction is not a
-        // retraction of anything. Keep F untouched.
-        budget_stop = true;
-      } else {
-        current = std::move(cored.core);
-        sigma0 = std::move(cored.retraction);
-        initial_folds = cored.folds;
-        note_certified();
-      }
-    }
   }
-  if (budget_stop) {
-    // Stopped before the initial element committed: the result is the
-    // untouched input (zero steps, empty resume log with have_initial
-    // false — resuming is a fresh run).
-    result.derivation.AddInitial(current, {});
-    result.stop_reason = governor.reason();
-    result.stats.peak_instance_size = current.size();
-    if (obs != nullptr) {
-      RunBeginEvent begin;
-      begin.variant = options.variant;
-      begin.rule_count = kb.rules.size();
-      begin.initial_size = current.size();
-      begin.initial_simplification = &result.derivation.step(0).simplification;
-      begin.instance = &current;
-      obs->OnRunBegin(begin);
-      if (governor.fault_fired()) {
-        obs->OnFaultInjected(
-            {governor.fault_site(), governor.fault_visit(), governor.reason()});
-      }
-      emit_match_plan_delta(0);
-      obs->OnRunEnd({result.steps, result.rounds, result.terminated,
-                     result.size_guard_tripped, current.size(),
-                     result.stop_reason});
-    }
-    fold_match_stats();
-    result.derivation.SetFinal(std::move(current));
-    return result;
-  }
-  if (rec != nullptr) {
-    rec->have_initial = true;
-    rec->initial_sigma = sigma0;
-    rec->initial_folds = initial_folds;
-    rec->initial_num_variables = vocab->num_variables();
-  }
-  result.derivation.AddInitial(current, std::move(sigma0));
-  if (rec != nullptr) rec->committed_num_variables = vocab->num_variables();
-  result.stats.peak_instance_size = current.size();
-  governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
-                           result.derivation.ApproxMemoryBytes());
 
-  if (obs != nullptr) {
+  void EmitRunBegin(size_t initial_size_before, size_t initial_folds) {
+    if (obs == nullptr) return;
     RunBeginEvent begin;
     begin.variant = options.variant;
     begin.rule_count = kb.rules.size();
@@ -394,145 +281,177 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     begin.initial_simplification = &result.derivation.step(0).simplification;
     begin.instance = &current;
     obs->OnRunBegin(begin);
-    if (is_core && options.core.core_initial) {
-      CoreRetractionEvent retraction;
-      retraction.step = 0;
-      retraction.folds = initial_folds;
-      retraction.size_before = initial_size_before;
-      retraction.size_after = current.size();
-      obs->OnCoreRetraction(retraction);
-    }
+    if (budget_stop || !is_core || !options.core.core_initial) return;
+    CoreRetractionEvent retraction;
+    retraction.step = 0;
+    retraction.folds = initial_folds;
+    retraction.size_before = initial_size_before;
+    retraction.size_after = current.size();
+    obs->OnCoreRetraction(retraction);
   }
 
-  std::vector<RuleState> rule_states(kb.rules.size());
-  for (size_t r = 0; r < kb.rules.size(); ++r) {
-    rule_states[r].datalog = kb.rules[r].IsDatalog();
-    kb.rules[r].body().ForEach([&](const Atom& atom) {
-      rule_states[r].body_predicates.insert(atom.predicate());
-    });
+  // The run's match counters so far.
+  MatchPlanEvent MatchTotals() const {
+    auto load = [](const std::atomic<uint64_t>& counter) {
+      return counter.load(std::memory_order_relaxed);
+    };
+    MatchPlanEvent totals;
+    totals.index_probes = load(match_counters.index_probes);
+    totals.column_scans = load(match_counters.column_scans);
+    totals.join_fallbacks = load(match_counters.join_fallbacks);
+    totals.index_builds = load(match_counters.index_builds);
+    totals.index_build_bytes = load(match_counters.index_build_bytes);
+    return totals;
   }
 
-  // Execution plan (src/plan/): positive-reliance graph, SCC strata and
-  // dormant rules. A pure function of the program and the input facts'
-  // predicates, computed once and valid for the whole run: every atom any
-  // chase instance can ever hold has a producible predicate (induction over
-  // applications), so a dormant rule has no match in any reachable
-  // instance, retractions included — see BuildExecutionPlan.
-  ExecutionPlan exec_plan;
-  std::vector<std::unordered_set<PredicateId>> plan_body_predicates;
-  if (plan_on) {
-    exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
-    result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
-    result.stats.plan_strata = exec_plan.strata.size();
-    result.stats.plan_dormant_rules = exec_plan.dormant_count;
-    plan_body_predicates.reserve(rule_states.size());
-    for (const RuleState& state : rule_states) {
-      plan_body_predicates.push_back(state.body_predicates);
+  // Reports the counts since the last report. Besides the round ends, this
+  // is flushed once when the run finishes, so a mid-round stop does not
+  // drop the final round's counts from an attached MetricsRegistry while
+  // ChaseStats keeps them.
+  void EmitMatchPlanDelta(size_t round) {
+    if (obs == nullptr) return;
+    const MatchPlanEvent totals = MatchTotals();
+    MatchPlanEvent plan;
+    plan.round = round;
+    plan.index_probes = totals.index_probes - match_reported.index_probes;
+    plan.column_scans = totals.column_scans - match_reported.column_scans;
+    plan.join_fallbacks = totals.join_fallbacks - match_reported.join_fallbacks;
+    plan.index_builds = totals.index_builds - match_reported.index_builds;
+    plan.index_build_bytes =
+        totals.index_build_bytes - match_reported.index_build_bytes;
+    if (plan.index_probes + plan.column_scans + plan.join_fallbacks +
+            plan.index_builds + plan.index_build_bytes ==
+        0) {
+      return;
     }
-    if (obs != nullptr) {
-      PlanEvent plan_event;
-      plan_event.rules = kb.rules.size();
-      plan_event.reliance_edges = exec_plan.graph.edge_count;
-      plan_event.strata = exec_plan.strata.size();
-      plan_event.dormant_rules = exec_plan.dormant_count;
-      obs->OnPlan(plan_event);
-    }
+    obs->OnMatchPlan(plan);
+    match_reported = totals;
   }
-  const bool skip_dormant =
-      plan_on && options.plan.skip_dormant && exec_plan.dormant_count > 0;
 
-  HomOptions all_matches;
-  all_matches.limit = 0;
-
-  DeltaIndex pending_delta;
-  bool delta_primed = false;
-  if (delta_on) current.EnableDeltaJournal();
-
-  // Coring, shared by the per-application and the round-end site. Each
-  // site drains the delta journal, takes its retraction from the log
-  // (replayed_coring) or from the engine (live_coring), and commits it by
-  // its own rule: the per-application site always rebuilds unless the
-  // proof certified, the round-end site only on a proper retraction. Only
-  // live successes certify the guard base: a replayed retraction predates
-  // the replayed mutations.
-  auto live_coring = [&](RoundPlanStats* round_plan) {
-    Coring coring;
-    if (core_guard_on && guard_base_established && !governor.stopped()) {
-      ++result.stats.plan_core_proofs;
-      ++round_plan->core_proofs;
-      CoreGuardOutcome guard =
-          ProveStillCore(current, guard_atoms_since, guard_base_mark);
-      // An inner search the governor aborted can miss a refutation, so a
-      // stopped run never certifies: it falls through to ComputeCore,
-      // whose abort the site handles.
-      coring.certified = guard.certified && !governor.stopped();
-    }
-    if (coring.certified) {
-      // Proven still a core: ComputeCore would have returned the instance
-      // itself with an identity retraction and zero folds, which is
-      // exactly what `coring` holds, so records and events are
-      // bit-identical to the unguarded run.
-      ++result.stats.plan_core_certified;
-      ++round_plan->core_certified;
-    } else {
-      CoreResult cored = ComputeCore(current);
-      // Aborted mid-search: the partial retraction is not a retraction of
-      // anything.
-      if (governor.stopped()) {
-        coring.aborted = true;
-        return coring;
+  // Commits F_0 (cored, for the core chase), emits RunBegin and builds the
+  // per-rule state and the execution plan. False when a budget stopped the run
+  // before F_0 committed: the result is then the untouched input (zero steps,
+  // a resume log with have_initial false — resuming is a fresh run).
+  bool Begin() {
+    NoteMemory(current.ApproxMemoryBytes());
+    budget_stop = governor->ShouldStop(FaultSite::kRoundBoundary);
+    Substitution sigma0;
+    size_t initial_folds = 0;
+    const size_t initial_size_before = current.size();
+    if (!budget_stop && is_core && options.core.core_initial) {
+      if (cursor.active) {
+        sigma0 = replay_log.initial_sigma;
+        initial_folds = replay_log.initial_folds;
+        current = sigma0.Apply(current);
+      } else {
+        CoreResult cored = ComputeCore(current);
+        if (governor->stopped()) {
+          // Coring aborted mid-search: the partial retraction is not a
+          // retraction of anything. Keep F untouched.
+          budget_stop = true;
+        } else {
+          current = std::move(cored.core);
+          sigma0 = std::move(cored.retraction);
+          initial_folds = cored.folds;
+          NoteCertified();
+        }
       }
-      ++result.stats.core_full;
-      coring.retraction = std::move(cored.retraction);
-      coring.core = std::move(cored.core);
-      coring.folds = cored.folds;
     }
-    note_certified();
-    return coring;
-  };
-  auto replayed_coring = [&](const Substitution& retraction, size_t folds) {
-    ++result.stats.core_full;
-    Coring coring;
-    coring.retraction = retraction;
-    coring.folds = folds;
-    return coring;
-  };
-  // Replaces `current` by its retract under coring.retraction (the one
-  // ComputeCore built, or the image computed here) and records the effect
-  // into the delta index.
-  auto rebuild = [&](Coring& coring) {
-    if (delta_on) {
-      RecordRetractionDelta(coring.retraction, current, &pending_delta);
+    if (budget_stop) {
+      result.derivation.AddInitial(current, {});
+      result.stats.peak_instance_size = current.size();
+      EmitRunBegin(initial_size_before, initial_folds);
+      return false;
     }
-    current = coring.core.has_value() ? std::move(*coring.core)
-                                      : coring.retraction.Apply(current);
+    if (rec != nullptr) {
+      rec->have_initial = true;
+      rec->initial_sigma = sigma0;
+      rec->initial_folds = initial_folds;
+      rec->initial_num_variables = vocab->num_variables();
+    }
+    result.derivation.AddInitial(current, std::move(sigma0));
+    if (rec != nullptr) rec->committed_num_variables = vocab->num_variables();
+    result.stats.peak_instance_size = current.size();
+    NoteMemory(current.ApproxMemoryBytes() +
+               result.derivation.ApproxMemoryBytes());
+    EmitRunBegin(initial_size_before, initial_folds);
+
+    rule_states.resize(kb.rules.size());
+    for (size_t r = 0; r < kb.rules.size(); ++r) {
+      rule_states[r].datalog = kb.rules[r].IsDatalog();
+      kb.rules[r].body().ForEach([&](const Atom& atom) {
+        rule_states[r].body_predicates.insert(atom.predicate());
+      });
+    }
+
+    // Execution plan (src/plan/): positive-reliance graph, SCC strata and
+    // dormant rules. A pure function of the program and the input facts'
+    // predicates, computed once and valid for the whole run: every atom any
+    // chase instance can ever hold has a producible predicate (induction over
+    // applications), so a dormant rule has no match in any reachable
+    // instance, retractions included — see BuildExecutionPlan.
+    if (plan_on) {
+      exec_plan = BuildExecutionPlan(kb.rules, kb.facts);
+      result.stats.plan_reliance_edges = exec_plan.graph.edge_count;
+      result.stats.plan_strata = exec_plan.strata.size();
+      result.stats.plan_dormant_rules = exec_plan.dormant_count;
+      plan_body_predicates.reserve(rule_states.size());
+      for (const RuleState& state : rule_states) {
+        plan_body_predicates.push_back(state.body_predicates);
+      }
+      if (obs != nullptr) {
+        PlanEvent plan_event;
+        plan_event.rules = kb.rules.size();
+        plan_event.reliance_edges = exec_plan.graph.edge_count;
+        plan_event.strata = exec_plan.strata.size();
+        plan_event.dormant_rules = exec_plan.dormant_count;
+        obs->OnPlan(plan_event);
+      }
+    }
+    skip_dormant =
+        plan_on && options.plan.skip_dormant && exec_plan.dormant_count > 0;
     if (delta_on) current.EnableDeltaJournal();
-  };
+    return true;
+  }
 
-  size_t since_last_core = 0;
-
-  while (result.steps < options.limits.max_steps) {
-    if (governor.ShouldStop(FaultSite::kRoundBoundary)) {
+  // Opens a round: the round-boundary poll, the replay's go-live check, match
+  // establishment and trigger order. False when the run stops here.
+  bool BeginRound() {
+    if (governor->ShouldStop(FaultSite::kRoundBoundary)) {
       budget_stop = true;
-      break;
+      return false;
     }
-    if (cursor.active && cursor.round_index >= cursor.log->rounds.size()) {
-      go_live();
-      if (!replay_error.ok()) break;
+    if (cursor.active && cursor.round_index >= replay_log.rounds.size()) {
+      GoLive();
+      if (!replay_error.ok()) return false;
     }
     ++result.rounds;
     if (rec != nullptr) rec->rounds.emplace_back();
-    const size_t steps_at_round_start = result.steps;
-    RoundPlanStats round_plan;
+    steps_at_round_start = result.steps;
+    round_plan = RoundPlanStats{};
+    Establish();
+    // The match search polls the governor internally and may have returned
+    // a partial enumeration; a round scheduled from one would not be a fair
+    // round, so stop before ordering.
+    if (governor->stopped()) {
+      budget_stop = true;
+      return false;
+    }
+    Order();
+    return true;
+  }
 
-    // Establish this round's match sets: naive evaluation re-enumerates
-    // from scratch; delta evaluation repairs the stored sets from the atoms
-    // inserted/erased since the last round. Either way, afterwards each
-    // rule's matches (minus retired ones, which are inactive by
-    // construction) are exactly its triggers for `current`.
+  // Establishes this round's match sets: naive evaluation re-enumerates from
+  // scratch; delta evaluation repairs the stored sets from the atoms
+  // inserted/erased since the last round. Either way, afterwards each rule's
+  // matches (minus retired ones, which are inactive by construction) are
+  // exactly its triggers for `current`.
+  void Establish() {
     if (!delta_on || !delta_primed) {
-      // Full enumeration, rule by rule (the enumeration within a rule is
-      // the deterministic hom-search order).
+      // Full enumeration, rule by rule (the enumeration within a rule is the
+      // deterministic hom-search order).
+      HomOptions all_matches;
+      all_matches.limit = 0;
       for (size_t r = 0; r < kb.rules.size(); ++r) {
         RuleState& state = rule_states[r];
         state.matches.clear();
@@ -552,104 +471,93 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
         ++result.stats.full_enumerations;
       }
       delta_primed = true;
-    } else {
-      pending_delta.Absorb(current.DrainDelta());
-      DeltaRepairEvent repair;
-      repair.round = result.rounds;
-      repair.inserted_atoms = pending_delta.inserted().size();
-      repair.erased_atoms = pending_delta.erased().size();
-      if (pending_delta.has_erasures()) {
-        // Revalidation fast path: insertions never falsify a stored match,
-        // so a rule none of whose body predicates lost an atom keeps its
-        // whole match set, and within a touched rule only matches whose
-        // body image meets the erased segment need the full re-probe.
-        // Outcomes (and with them retire events and counters) are exactly
-        // those of the unconditional IsTriggerFor sweep. Each touched rule
-        // is compacted in match order.
-        auto rule_touched_by_erasure = [&](size_t r) {
-          for (PredicateId p : rule_states[r].body_predicates) {
-            if (pending_delta.ErasedTouchesPredicate(p)) return true;
-          }
-          return false;
-        };
-        for (size_t r = 0; r < kb.rules.size(); ++r) {
-          if (!rule_touched_by_erasure(r)) continue;
-          const Rule& rule = kb.rules[r];
-          RuleState& state = rule_states[r];
-          size_t kept = 0;
-          for (size_t i = 0; i < state.matches.size(); ++i) {
-            const Substitution& match = state.matches[i].match;
-            if (!MatchImageTouchesErased(rule, match, pending_delta) ||
-                IsTriggerFor(rule, match, current)) {
-              if (kept != i) state.matches[kept] = std::move(state.matches[i]);
-              ++kept;
-              continue;
-            }
-            state.match_keys.erase(state.matches[i].key);
-            ++result.stats.matches_invalidated;
-            ++repair.matches_invalidated;
-            if (obs != nullptr) {
-              obs->OnTriggerRetired({result.rounds, static_cast<int>(r),
-                                     TriggerRetireReason::kInvalidated});
-            }
-          }
-          state.matches.resize(kept);
+      return;
+    }
+    pending_delta.Absorb(current.DrainDelta());
+    DeltaRepairEvent repair;
+    repair.round = result.rounds;
+    repair.inserted_atoms = pending_delta.inserted().size();
+    repair.erased_atoms = pending_delta.erased().size();
+    if (pending_delta.has_erasures()) {
+      // Revalidation fast path: insertions never falsify a stored match, so a
+      // rule none of whose body predicates lost an atom keeps its whole match
+      // set, and within a touched rule only matches whose body image meets
+      // the erased segment need the full re-probe. Outcomes (and with them
+      // retire events and counters) are exactly those of the unconditional
+      // IsTriggerFor sweep. Each touched rule is compacted in match order.
+      auto rule_touched_by_erasure = [&](size_t r) {
+        for (PredicateId p : rule_states[r].body_predicates) {
+          if (pending_delta.ErasedTouchesPredicate(p)) return true;
         }
-      }
-      // One seeded probe per (inserted fact, rule) pair, in that order; the
-      // key-deduplicated inserts keep each rule's first occurrence.
-      for (const Atom& fact : pending_delta.inserted()) {
-        // An atom inserted and erased again within the round yields no
-        // matches (the probe pins a body atom's image to it).
-        if (!current.Contains(fact)) continue;
-        for (size_t r = 0; r < kb.rules.size(); ++r) {
-          RuleState& state = rule_states[r];
-          if (!state.body_predicates.contains(fact.predicate())) continue;
-          // Skipped probes stay accounted: the DeltaRepairEvent payload
-          // (and the seed_probes counters) must not depend on the planner.
-          ++result.stats.seed_probes;
-          ++repair.seed_probes;
-          // A dormant rule's probe is guaranteed empty.
-          if (skip_dormant && exec_plan.dormant[r]) {
-            ++result.stats.plan_probes_skipped;
-            ++round_plan.probes_skipped;
+        return false;
+      };
+      for (size_t r = 0; r < kb.rules.size(); ++r) {
+        if (!rule_touched_by_erasure(r)) continue;
+        const Rule& rule = kb.rules[r];
+        RuleState& state = rule_states[r];
+        size_t kept = 0;
+        for (size_t i = 0; i < state.matches.size(); ++i) {
+          const Substitution& match = state.matches[i].match;
+          if (!MatchImageTouchesErased(rule, match, pending_delta) ||
+              IsTriggerFor(rule, match, current)) {
+            if (kept != i) state.matches[kept] = std::move(state.matches[i]);
+            ++kept;
             continue;
           }
-          for (Substitution& match :
-               FindSeededMatches(kb.rules[r], fact, current)) {
-            PackedBindings key = PackedBindings::FromMatch(match);
-            if (state.match_keys.insert(key).second) {
-              state.matches.push_back(
-                  StoredMatch{std::move(match), std::move(key)});
-              ++repair.matches_added;
-            }
+          state.match_keys.erase(state.matches[i].key);
+          ++result.stats.matches_invalidated;
+          ++repair.matches_invalidated;
+          if (obs != nullptr) {
+            obs->OnTriggerRetired({result.rounds, static_cast<int>(r),
+                                   TriggerRetireReason::kInvalidated});
+          }
+        }
+        state.matches.resize(kept);
+      }
+    }
+    // One seeded probe per (inserted fact, rule) pair, in that order; the
+    // key-deduplicated inserts keep each rule's first occurrence.
+    for (const Atom& fact : pending_delta.inserted()) {
+      // An atom inserted and erased again within the round yields no matches
+      // (the probe pins a body atom's image to it).
+      if (!current.Contains(fact)) continue;
+      for (size_t r = 0; r < kb.rules.size(); ++r) {
+        RuleState& state = rule_states[r];
+        if (!state.body_predicates.contains(fact.predicate())) continue;
+        // Skipped probes stay accounted: the DeltaRepairEvent payload (and
+        // the seed_probes counters) must not depend on the planner.
+        ++result.stats.seed_probes;
+        ++repair.seed_probes;
+        // A dormant rule's probe is guaranteed empty.
+        if (skip_dormant && exec_plan.dormant[r]) {
+          ++result.stats.plan_probes_skipped;
+          ++round_plan.probes_skipped;
+          continue;
+        }
+        for (Substitution& match :
+             FindSeededMatches(kb.rules[r], fact, current)) {
+          PackedBindings key = PackedBindings::FromMatch(match);
+          if (state.match_keys.insert(key).second) {
+            state.matches.push_back(
+                StoredMatch{std::move(match), std::move(key)});
+            ++repair.matches_added;
           }
         }
       }
-      if (plan_on) {
-        round_plan.active_strata = CountActiveStrata(
-            exec_plan, plan_body_predicates, pending_delta.InsertedPredicates());
-      }
-      pending_delta.Clear();
-      if (obs != nullptr) obs->OnDeltaRepair(repair);
     }
-    // The match search polls the governor internally and may have returned
-    // a partial enumeration; a round scheduled from one would not be a fair
-    // round, so stop before snapshotting.
-    if (governor.stopped()) {
-      budget_stop = true;
-      break;
+    if (plan_on) {
+      round_plan.active_strata = CountActiveStrata(
+          exec_plan, plan_body_predicates, pending_delta.InsertedPredicates());
     }
+    pending_delta.Clear();
+    if (obs != nullptr) obs->OnDeltaRepair(repair);
+  }
 
-    // Snapshot and order the round's triggers. The order is total — within
-    // a rule, distinct matches have distinct packed keys — and equals the
-    // historical (datalog_first, rule_index, string sort key) order.
-    struct PendingTrigger {
-      int rule_index;
-      bool datalog;
-      size_t match_index;
-    };
-    std::vector<PendingTrigger> pending;
+  // Snapshots and orders the round's triggers. The order is total — within a
+  // rule, distinct matches have distinct packed keys — and equals the
+  // historical (datalog_first, rule_index, string sort key) order.
+  void Order() {
+    pending.clear();
     for (size_t r = 0; r < rule_states.size(); ++r) {
       for (size_t i = 0; i < rule_states[r].matches.size(); ++i) {
         pending.push_back(
@@ -669,311 +577,383 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
                     rule_states[b.rule_index].matches[b.match_index].key);
               });
     result.stats.triggers_found += pending.size();
-
     if (obs != nullptr) {
       obs->OnRoundBegin({result.rounds, pending.size(), current.size()});
     }
+    in_round = true;
+    next_pending = 0;
+    progressed = false;
+    sigma_round = Substitution();
+  }
 
-    bool progressed = false;
-    Substitution sigma_round;  // composition of simplifications this round
-    for (const PendingTrigger& p : pending) {
+  // Walks the round's ordered triggers from `next_pending`. Each boundary
+  // first honours a pause, then polls the governor; during a replay it
+  // consumes the consideration's committed decision, or detects the recorded
+  // stop point and goes live at exactly this trigger.
+  Flow ConsiderTriggers() {
+    while (next_pending < pending.size()) {
       if (result.steps >= options.limits.max_steps) break;
-      if (governor.ShouldStop(FaultSite::kTriggerBoundary)) {
+      if (Parked()) return Flow::kPark;
+      if (governor->ShouldStop(FaultSite::kTriggerBoundary)) {
         budget_stop = true;
-        break;
+        return Flow::kStop;
       }
-      // Replay: consume this consideration's committed decision, or detect
-      // the recorded stop point and go live at exactly this trigger.
-      bool replaying_this = false;
+      bool replaying = false;
       bool replay_bit = false;
       if (cursor.active) {
         const ResumeLog::RoundRecord& rr =
-            cursor.log->rounds[cursor.round_index];
+            replay_log.rounds[cursor.round_index];
         if (cursor.bit_index < rr.decisions.size()) {
-          replaying_this = true;
+          replaying = true;
           replay_bit = rr.decisions[cursor.bit_index++] != 0;
         } else if (rr.have_round_end) {
           // The recorded run left its trigger loop early (step budget or
           // size guard) and then cored at round end: follow it there.
           break;
         } else {
-          go_live();
-          if (!replay_error.ok()) break;
+          GoLive();
+          if (!replay_error.ok()) return Flow::kStop;
         }
       }
-      const Rule& rule = kb.rules[p.rule_index];
-      RuleState& state = rule_states[p.rule_index];
-      StoredMatch& stored = state.matches[p.match_index];
-      ++result.stats.triggers_considered;
-      if (obs != nullptr) {
-        obs->OnTriggerConsidered({result.rounds, p.rule_index});
-      }
-      // Re-map the trigger through the simplifications applied since the
-      // round snapshot (σ^j_i of Definition 2); σ is a homomorphism between
-      // successive instances, so the image is still a trigger.
-      Substitution composed;
-      const Substitution* match = &stored.match;
-      if (!sigma_round.empty()) {
-        composed = Substitution::Compose(sigma_round, stored.match);
-        match = &composed;
-      }
-      // Activeness per variant. Replay substitutes the recorded decision
-      // for the satisfaction check (the oblivious key bookkeeping still
-      // runs — it is deterministic — and is cross-checked against the log).
-      bool satisfaction_aborted = false;
-      bool skip = false;
-      switch (options.variant) {
-        case ChaseVariant::kOblivious: {
-          PackedBindings key = match == &stored.match
-                                   ? stored.key
-                                   : PackedBindings::FromMatch(*match);
-          bool fresh = state.applied.insert(std::move(key)).second;
-          if (replaying_this) {
-            TWCHASE_CHECK_MSG(fresh == replay_bit,
-                              "resume log diverged from the oblivious "
-                              "application keys");
-          }
-          stored.retired = true;
-          if (obs != nullptr && retire_considered) {
-            obs->OnTriggerRetired({result.rounds, p.rule_index,
-                                   fresh ? TriggerRetireReason::kApplied
-                                         : TriggerRetireReason::kDuplicate});
-          }
-          if (!fresh) skip = true;
-          break;
-        }
-        case ChaseVariant::kSemiOblivious: {
-          PackedBindings key =
-              PackedBindings::FromRestricted(*match, rule.frontier());
-          bool fresh = state.applied.insert(std::move(key)).second;
-          if (replaying_this) {
-            TWCHASE_CHECK_MSG(fresh == replay_bit,
-                              "resume log diverged from the semi-oblivious "
-                              "application keys");
-          }
-          stored.retired = true;
-          if (obs != nullptr && retire_considered) {
-            obs->OnTriggerRetired({result.rounds, p.rule_index,
-                                   fresh ? TriggerRetireReason::kApplied
-                                         : TriggerRetireReason::kDuplicate});
-          }
-          if (!fresh) skip = true;
-          break;
-        }
-        case ChaseVariant::kRestricted:
-        case ChaseVariant::kFrugal:
-        case ChaseVariant::kCore: {
-          bool satisfied;
-          if (replaying_this) {
-            satisfied = !replay_bit;
-          } else {
-            satisfied = TriggerIsSatisfied(rule, *match, current);
-            if (governor.stopped()) {
-              // The satisfaction search aborted; its verdict is not
-              // trustworthy and nothing has been committed for this
-              // consideration — stop exactly here.
-              satisfaction_aborted = true;
-              break;
-            }
-          }
-          if (retire_considered) {
-            stored.retired = true;
-            if (obs != nullptr) {
-              obs->OnTriggerRetired({result.rounds, p.rule_index,
-                                     satisfied
-                                         ? TriggerRetireReason::kSatisfied
-                                         : TriggerRetireReason::kApplied});
-            }
-          }
-          if (satisfied) skip = true;
-          break;
-        }
-      }
-      if (satisfaction_aborted) {
-        budget_stop = true;
-        break;
-      }
-      if (skip) {
-        if (rec != nullptr) rec->rounds.back().decisions.push_back(0);
-        continue;
-      }
+      const Flow flow =
+          ConsiderAndApply(pending[next_pending++], replaying, replay_bit);
+      if (flow != Flow::kNext) return flow;
+    }
+    return Flow::kRoundEnd;
+  }
 
-      TriggerApplication application =
-          ApplyTrigger(rule, *match, &current, vocab);
-      if (core_guard_on && guard_base_established) {
-        // Copied, not moved: added_atoms still feeds the derivation step
-        // (and the abort rollback) below.
-        guard_atoms_since.insert(guard_atoms_since.end(),
-                                 application.added_atoms.begin(),
-                                 application.added_atoms.end());
-      }
-      Substitution sigma;
-      std::vector<Substitution> fold_sigmas;
-      CoreRetractionEvent core_event;
-      const bool do_core = is_core && !options.core.core_at_round_end &&
-                           ++since_last_core >= options.core.core_every;
-      if (do_core) since_last_core = 0;
-      const ResumeLog::StepRecord* step_record = nullptr;
-      if (replaying_this) {
-        TWCHASE_CHECK_MSG(cursor.step_index < cursor.log->steps.size(),
-                          "resume log diverged: missing step record");
-        step_record = &cursor.log->steps[cursor.step_index++];
-        TWCHASE_CHECK_MSG(step_record->cored == do_core,
-                          "resume log diverged from the coring schedule");
-      }
-      if (do_core) {
-        core_event.size_before = current.size();
-        if (delta_on) pending_delta.Absorb(current.DrainDelta());
-        Coring coring = step_record != nullptr
-                            ? replayed_coring(step_record->sigma,
-                                              step_record->folds)
-                            : live_coring(&round_plan);
-        if (coring.aborted) {
-          // Roll the application back to the last committed step (its
-          // added atoms are exactly what it inserted; everything else is
-          // untouched).
-          for (const Atom& atom : application.added_atoms) {
-            current.Erase(atom);
-          }
-          budget_stop = true;
-          break;
-        }
-        // A certified instance stays in place; its journal survived the
-        // drain.
-        if (!coring.certified) rebuild(coring);
-        sigma = std::move(coring.retraction);
-        core_event.folds = coring.folds;
-        core_event.size_after = current.size();
-      } else if (options.variant == ChaseVariant::kFrugal &&
-                 !rule.existential().empty()) {
-        if (step_record != nullptr) {
-          // Replay the recorded folds one by one through the same rebuild
-          // the live path uses — journal entries included.
-          for (const Substitution& fold : step_record->fold_sigmas) {
-            ApplyRetractionRebuild(&current, fold);
-            sigma = Substitution::Compose(fold, sigma);
-            fold_sigmas.push_back(fold);
-          }
+  // One trigger consideration: the activeness check of the variant, then (if
+  // active) the application with its per-step coring or frugal folds, the
+  // journal step, the resume-log record and the events. Returns kRoundEnd
+  // when the size guard tripped, kStop when an interrupted search left
+  // nothing to commit.
+  Flow ConsiderAndApply(const PendingTrigger& p, bool replaying,
+                        bool replay_bit) {
+    const Rule& rule = kb.rules[p.rule_index];
+    RuleState& state = rule_states[p.rule_index];
+    StoredMatch& stored = state.matches[p.match_index];
+    ++result.stats.triggers_considered;
+    if (obs != nullptr) {
+      obs->OnTriggerConsidered({result.rounds, p.rule_index});
+    }
+    // Re-map the trigger through the simplifications applied since the
+    // round snapshot (σ^j_i of Definition 2); σ is a homomorphism between
+    // successive instances, so the image is still a trigger.
+    Substitution composed;
+    const Substitution* match = &stored.match;
+    if (!sigma_round.empty()) {
+      composed = Substitution::Compose(sigma_round, stored.match);
+      match = &composed;
+    }
+    // Activeness per variant. Replay substitutes the recorded decision for the
+    // satisfaction check (the oblivious key bookkeeping still runs — it is
+    // deterministic — and is cross-checked against the log).
+    bool skip = false;
+    switch (options.variant) {
+      case ChaseVariant::kOblivious:
+      case ChaseVariant::kSemiOblivious: {
+        const bool oblivious = options.variant == ChaseVariant::kOblivious;
+        PackedBindings key;
+        if (!oblivious) {
+          key = PackedBindings::FromRestricted(*match, rule.frontier());
+        } else if (match == &stored.match) {
+          key = stored.key;
         } else {
-          std::vector<Term> fresh;
-          for (Term ev : rule.existential()) {
-            fresh.push_back(application.safe.Apply(ev));
+          key = PackedBindings::FromMatch(*match);
+        }
+        const bool fresh = state.applied.insert(std::move(key)).second;
+        if (replaying) {
+          TWCHASE_CHECK_MSG(fresh == replay_bit,
+                            oblivious ? "resume log diverged from the "
+                                        "oblivious application keys"
+                                      : "resume log diverged from the "
+                                        "semi-oblivious application keys");
+        }
+        stored.retired = true;
+        if (obs != nullptr && retire_considered) {
+          obs->OnTriggerRetired({result.rounds, p.rule_index,
+                                 fresh ? TriggerRetireReason::kApplied
+                                       : TriggerRetireReason::kDuplicate});
+        }
+        skip = !fresh;
+        break;
+      }
+      case ChaseVariant::kRestricted:
+      case ChaseVariant::kFrugal:
+      case ChaseVariant::kCore: {
+        bool satisfied;
+        if (replaying) {
+          satisfied = !replay_bit;
+        } else {
+          satisfied = TriggerIsSatisfied(rule, *match, current);
+          // The satisfaction search aborted; its verdict is not trustworthy
+          // and nothing has been committed for this consideration — stop
+          // exactly here.
+          if (governor->stopped()) {
+            budget_stop = true;
+            return Flow::kStop;
           }
-          // Each fold rebuilds the instance; interrupting between search
-          // and rebuild would lose the committed prefix, so the fold loop
-          // is atomic (bounded by the handful of fresh nulls of one rule).
-          GovernorAtomicSection atomic_fold;
-          sigma = FoldVariablesKeepingRestFixed(
-              &current, fresh, rec != nullptr ? &fold_sigmas : nullptr);
         }
-      }
-      if (match == &composed) {
-        result.derivation.AddStep(p.rule_index, rule.label(),
-                                  std::move(composed), sigma,
-                                  std::move(application.added_atoms),
-                                  current.size());
-      } else if (!delta_on || stored.retired) {
-        // The stored match will not be used again: naive evaluation rebuilds
-        // the set next round, and retired matches are dropped below.
-        result.derivation.AddStep(p.rule_index, rule.label(),
-                                  std::move(stored.match), sigma,
-                                  std::move(application.added_atoms),
-                                  current.size());
-      } else {
-        result.derivation.AddStep(p.rule_index, rule.label(), stored.match,
-                                  sigma, std::move(application.added_atoms),
-                                  current.size());
-      }
-      if (!sigma.IsIdentity()) {
-        sigma_round = Substitution::Compose(sigma, sigma_round);
-      }
-      ++result.steps;
-      progressed = true;
-      if (rec != nullptr) {
-        rec->rounds.back().decisions.push_back(1);
-        ResumeLog::StepRecord step_rec;
-        step_rec.sigma = sigma;
-        step_rec.fold_sigmas = std::move(fold_sigmas);
-        step_rec.cored = do_core;
-        step_rec.folds = core_event.folds;
-        rec->steps.push_back(std::move(step_rec));
-        rec->committed_num_variables = vocab->num_variables();
-      }
-      governor.NoteMemoryUsage(current.ApproxMemoryBytes() +
-                               result.derivation.ApproxMemoryBytes());
-      if (obs != nullptr) {
-        const DerivationStep& last =
-            result.derivation.step(result.derivation.size() - 1);
-        TriggerAppliedEvent applied;
-        applied.step = result.steps;
-        applied.round = result.rounds;
-        applied.rule_index = p.rule_index;
-        applied.rule_label = &last.rule_label;
-        applied.match = &last.match;
-        applied.simplification = &last.simplification;
-        applied.added_atoms = last.added_atoms.size();
-        applied.instance_size = current.size();
-        applied.instance = &current;
-        obs->OnTriggerApplied(applied);
-        if (do_core) {
-          core_event.step = result.steps;
-          obs->OnCoreRetraction(core_event);
+        if (retire_considered) {
+          stored.retired = true;
+          if (obs != nullptr) {
+            obs->OnTriggerRetired({result.rounds, p.rule_index,
+                                   satisfied ? TriggerRetireReason::kSatisfied
+                                             : TriggerRetireReason::kApplied});
+          }
         }
-      }
-      result.stats.peak_instance_size =
-          std::max(result.stats.peak_instance_size, current.size());
-      if (options.limits.max_instance_size != 0 &&
-          current.size() > options.limits.max_instance_size) {
-        result.size_guard_tripped = true;
+        skip = satisfied;
         break;
       }
     }
-    if (budget_stop || !replay_error.ok()) break;
-    if (is_core && options.core.core_at_round_end && progressed) {
-      const ResumeLog::RoundRecord* recorded = nullptr;
-      if (cursor.active) {
-        recorded = &cursor.log->rounds[cursor.round_index];
-        if (!recorded->have_round_end) {
-          // The recorded run stopped at this round-end coring boundary;
-          // resume runs it live.
-          recorded = nullptr;
-          go_live();
-        }
+    if (skip) {
+      if (rec != nullptr) rec->rounds.back().decisions.push_back(0);
+      return Flow::kNext;
+    }
+
+    TriggerApplication application =
+        ApplyTrigger(rule, *match, &current, vocab);
+    if (core_guard_on && guard_base_established) {
+      // Copied, not moved: added_atoms still feeds the derivation step (and
+      // the abort rollback) below.
+      guard_atoms_since.insert(guard_atoms_since.end(),
+                               application.added_atoms.begin(),
+                               application.added_atoms.end());
+    }
+    Substitution sigma;
+    std::vector<Substitution> fold_sigmas;
+    CoreRetractionEvent core_event;
+    const bool do_core = is_core && !options.core.core_at_round_end &&
+                         ++since_last_core >= options.core.core_every;
+    if (do_core) since_last_core = 0;
+    const ResumeLog::StepRecord* step_record = nullptr;
+    if (replaying) {
+      TWCHASE_CHECK_MSG(cursor.step_index < replay_log.steps.size(),
+                        "resume log diverged: missing step record");
+      step_record = &replay_log.steps[cursor.step_index++];
+      TWCHASE_CHECK_MSG(step_record->cored == do_core,
+                        "resume log diverged from the coring schedule");
+    }
+    if (do_core) {
+      core_event.size_before = current.size();
+      if (delta_on) pending_delta.Absorb(current.DrainDelta());
+      Coring coring =
+          step_record != nullptr
+              ? ReplayedCoring(step_record->sigma, step_record->folds)
+              : LiveCoring();
+      if (coring.aborted) {
+        // Roll the application back to the last committed step (its added
+        // atoms are exactly what it inserted; everything else is untouched).
+        for (const Atom& atom : application.added_atoms) current.Erase(atom);
+        budget_stop = true;
+        return Flow::kStop;
       }
-      if (replay_error.ok()) {
-        if (delta_on) pending_delta.Absorb(current.DrainDelta());
-        const size_t size_before = current.size();
-        Coring coring = recorded != nullptr
-                            ? replayed_coring(recorded->round_end_sigma,
-                                              recorded->round_end_folds)
-                            : live_coring(&round_plan);
-        if (coring.aborted) {
-          // Nothing was mutated: the round's committed applications stand,
-          // the amendment simply has not happened yet (resume re-runs it).
-          budget_stop = true;
-        } else {
-          if (!coring.retraction.IsIdentity()) {
-            rebuild(coring);
-            result.derivation.AmendLastSimplification(coring.retraction,
-                                                      current.size());
-          }
-          if (rec != nullptr) {
-            rec->rounds.back().have_round_end = true;
-            rec->rounds.back().round_end_sigma = coring.retraction;
-            rec->rounds.back().round_end_folds = coring.folds;
-          }
-          if (obs != nullptr) {
-            CoreRetractionEvent retraction;
-            retraction.step = result.steps;
-            retraction.folds = coring.folds;
-            retraction.size_before = size_before;
-            retraction.size_after = current.size();
-            obs->OnCoreRetraction(retraction);
-          }
+      // A certified instance stays in place; its journal survived the drain.
+      if (!coring.certified) Rebuild(coring);
+      sigma = std::move(coring.retraction);
+      core_event.folds = coring.folds;
+      core_event.size_after = current.size();
+    } else if (options.variant == ChaseVariant::kFrugal &&
+               !rule.existential().empty()) {
+      if (step_record != nullptr) {
+        // Replay the recorded folds one by one through the same rebuild the
+        // live path uses — journal entries included.
+        for (const Substitution& fold : step_record->fold_sigmas) {
+          ApplyRetractionRebuild(&current, fold);
+          sigma = Substitution::Compose(fold, sigma);
+          fold_sigmas.push_back(fold);
         }
+      } else {
+        std::vector<Term> fresh;
+        for (Term ev : rule.existential()) {
+          fresh.push_back(application.safe.Apply(ev));
+        }
+        // Each fold rebuilds the instance; interrupting between search and
+        // rebuild would lose the committed prefix, so the fold loop is atomic
+        // (bounded by the handful of fresh nulls of one rule).
+        GovernorAtomicSection atomic_fold;
+        sigma = FoldVariablesKeepingRestFixed(
+            &current, fresh, rec != nullptr ? &fold_sigmas : nullptr);
       }
     }
-    if (budget_stop || !replay_error.ok()) break;
+    if (match == &composed) {
+      result.derivation.AddStep(p.rule_index, rule.label(), std::move(composed),
+                                sigma, std::move(application.added_atoms),
+                                current.size());
+    } else if (!delta_on || stored.retired) {
+      // The stored match will not be used again: naive evaluation rebuilds
+      // the set next round, and retired matches are dropped at round end.
+      result.derivation.AddStep(p.rule_index, rule.label(),
+                                std::move(stored.match), sigma,
+                                std::move(application.added_atoms),
+                                current.size());
+    } else {
+      result.derivation.AddStep(p.rule_index, rule.label(), stored.match, sigma,
+                                std::move(application.added_atoms),
+                                current.size());
+    }
+    if (!sigma.IsIdentity()) {
+      sigma_round = Substitution::Compose(sigma, sigma_round);
+    }
+    ++result.steps;
+    progressed = true;
+    if (rec != nullptr) {
+      rec->rounds.back().decisions.push_back(1);
+      ResumeLog::StepRecord step_rec;
+      step_rec.sigma = sigma;
+      step_rec.fold_sigmas = std::move(fold_sigmas);
+      step_rec.cored = do_core;
+      step_rec.folds = core_event.folds;
+      rec->steps.push_back(std::move(step_rec));
+      rec->committed_num_variables = vocab->num_variables();
+    }
+    NoteMemory(current.ApproxMemoryBytes() +
+               result.derivation.ApproxMemoryBytes());
+    if (obs != nullptr) {
+      const DerivationStep& last =
+          result.derivation.step(result.derivation.size() - 1);
+      TriggerAppliedEvent applied;
+      applied.step = result.steps;
+      applied.round = result.rounds;
+      applied.rule_index = p.rule_index;
+      applied.rule_label = &last.rule_label;
+      applied.match = &last.match;
+      applied.simplification = &last.simplification;
+      applied.added_atoms = last.added_atoms.size();
+      applied.instance_size = current.size();
+      applied.instance = &current;
+      obs->OnTriggerApplied(applied);
+      if (do_core) {
+        core_event.step = result.steps;
+        obs->OnCoreRetraction(core_event);
+      }
+    }
+    result.stats.peak_instance_size =
+        std::max(result.stats.peak_instance_size, current.size());
+    if (options.limits.max_instance_size != 0 &&
+        current.size() > options.limits.max_instance_size) {
+      result.size_guard_tripped = true;
+      return Flow::kRoundEnd;
+    }
+    return Flow::kNext;
+  }
+
+  // Coring, shared by the per-application and the round-end site. Each site
+  // drains the delta journal, takes its retraction from the log
+  // (ReplayedCoring) or from the engine (LiveCoring), and commits it by its
+  // own rule: the per-application site always rebuilds unless the proof
+  // certified, the round-end site only on a proper retraction. Only live
+  // successes certify the guard base: a replayed retraction predates the
+  // replayed mutations.
+  Coring LiveCoring() {
+    Coring coring;
+    if (core_guard_on && guard_base_established && !governor->stopped()) {
+      ++result.stats.plan_core_proofs;
+      ++round_plan.core_proofs;
+      CoreGuardOutcome guard =
+          ProveStillCore(current, guard_atoms_since, guard_base_mark);
+      // An inner search the governor aborted can miss a refutation, so a
+      // stopped run never certifies: it falls through to ComputeCore, whose
+      // abort the site handles.
+      coring.certified = guard.certified && !governor->stopped();
+    }
+    if (coring.certified) {
+      // Proven still a core: ComputeCore would have returned the instance
+      // itself with an identity retraction and zero folds, which is exactly
+      // what `coring` holds, so records and events are bit-identical to the
+      // unguarded run.
+      ++result.stats.plan_core_certified;
+      ++round_plan.core_certified;
+    } else {
+      CoreResult cored = ComputeCore(current);
+      // Aborted mid-search: the partial retraction is not a retraction of
+      // anything.
+      if (governor->stopped()) {
+        coring.aborted = true;
+        return coring;
+      }
+      ++result.stats.core_full;
+      coring.retraction = std::move(cored.retraction);
+      coring.core = std::move(cored.core);
+      coring.folds = cored.folds;
+    }
+    NoteCertified();
+    return coring;
+  }
+
+  Coring ReplayedCoring(const Substitution& retraction, size_t folds) {
+    ++result.stats.core_full;
+    Coring coring;
+    coring.retraction = retraction;
+    coring.folds = folds;
+    return coring;
+  }
+
+  // Replaces `current` by its retract under coring.retraction (the one
+  // ComputeCore built, or the image computed here) and records the effect
+  // into the delta index.
+  void Rebuild(Coring& coring) {
+    if (delta_on) {
+      RecordRetractionDelta(coring.retraction, current, &pending_delta);
+    }
+    current = coring.core.has_value() ? std::move(*coring.core)
+                                      : coring.retraction.Apply(current);
+    if (delta_on) current.EnableDeltaJournal();
+  }
+
+  // Round-end coring (core.core_at_round_end). False when the run stops here:
+  // an aborted ComputeCore mutated nothing — the round's committed
+  // applications stand and the amendment simply has not happened yet (resume
+  // re-runs it).
+  bool RoundEndCoring() {
+    if (!is_core || !options.core.core_at_round_end || !progressed) return true;
+    const ResumeLog::RoundRecord* recorded = nullptr;
+    if (cursor.active) {
+      recorded = &replay_log.rounds[cursor.round_index];
+      if (!recorded->have_round_end) {
+        // The recorded run stopped at this round-end coring boundary; resume
+        // runs it live.
+        recorded = nullptr;
+        GoLive();
+        if (!replay_error.ok()) return false;
+      }
+    }
+    if (delta_on) pending_delta.Absorb(current.DrainDelta());
+    const size_t size_before = current.size();
+    Coring coring = recorded != nullptr
+                        ? ReplayedCoring(recorded->round_end_sigma,
+                                         recorded->round_end_folds)
+                        : LiveCoring();
+    if (coring.aborted) {
+      budget_stop = true;
+      return false;
+    }
+    if (!coring.retraction.IsIdentity()) {
+      Rebuild(coring);
+      result.derivation.AmendLastSimplification(coring.retraction,
+                                                current.size());
+    }
+    if (rec != nullptr) {
+      rec->rounds.back().have_round_end = true;
+      rec->rounds.back().round_end_sigma = coring.retraction;
+      rec->rounds.back().round_end_folds = coring.folds;
+    }
+    if (obs != nullptr) {
+      CoreRetractionEvent retraction;
+      retraction.step = result.steps;
+      retraction.folds = coring.folds;
+      retraction.size_before = size_before;
+      retraction.size_after = current.size();
+      obs->OnCoreRetraction(retraction);
+    }
+    return true;
+  }
+
+  // Closes the round: drops retired matches, reports the round, advances the
+  // replay cursor. False when the run ends with this round (fixpoint or size
+  // guard).
+  bool EndRound() {
+    in_round = false;
     if (retire_considered) {
       for (RuleState& state : rule_states) {
         size_t kept = 0;
@@ -988,10 +968,10 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
     if (obs != nullptr) {
       // Match-phase telemetry of the whole round (establishment through
-      // application and coring). Emitted only when the round did match
-      // work, and skipped by the stock event log unless opted in, so event
-      // streams stay comparable across backends.
-      emit_match_plan_delta(result.rounds);
+      // application and coring). Emitted only when the round did match work,
+      // and skipped by the stock event log unless opted in, so event streams
+      // stay comparable across backends.
+      EmitMatchPlanDelta(result.rounds);
       if (plan_on && round_plan.any()) {
         PlanEvent plan_event;
         plan_event.round = result.rounds;
@@ -1015,45 +995,284 @@ StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
     }
     if (!progressed) {
       result.terminated = true;
-      break;
+      return false;
     }
-    if (result.size_guard_tripped) break;
+    return !result.size_guard_tripped;
   }
-  if (!replay_error.ok()) return replay_error;
-  fold_match_stats();
-  if (budget_stop) {
-    result.stop_reason = governor.reason();
-  } else if (result.size_guard_tripped) {
-    result.stop_reason = StopReason::kInstanceSizeGuard;
-  } else if (result.terminated) {
-    result.stop_reason = StopReason::kFixpoint;
-  } else {
-    result.stop_reason = StopReason::kStepBudget;
-  }
-  result.terminated = result.stop_reason == StopReason::kFixpoint;
-  result.size_guard_tripped =
-      result.stop_reason == StopReason::kInstanceSizeGuard;
-  if (obs != nullptr) {
-    if (governor.fault_fired()) {
-      obs->OnFaultInjected(
-          {governor.fault_site(), governor.fault_visit(), governor.reason()});
+
+  // Classifies the stop, reports the run's end and moves the live instance
+  // into the derivation as its last element.
+  void Finish() {
+    const MatchPlanEvent totals = MatchTotals();
+    result.stats.match_index_probes = totals.index_probes;
+    result.stats.match_column_scans = totals.column_scans;
+    result.stats.match_join_fallbacks = totals.join_fallbacks;
+    result.stats.match_index_builds = totals.index_builds;
+    result.stats.match_index_build_bytes = totals.index_build_bytes;
+    if (budget_stop) {
+      result.stop_reason = governor->reason();
+    } else if (result.size_guard_tripped) {
+      result.stop_reason = StopReason::kInstanceSizeGuard;
+    } else if (result.terminated) {
+      result.stop_reason = StopReason::kFixpoint;
+    } else {
+      result.stop_reason = StopReason::kStepBudget;
     }
-    // Flush the match-plan tail a mid-round stop left unreported, so an
-    // attached MetricsRegistry ends exactly at the ChaseStats totals.
-    emit_match_plan_delta(result.rounds);
-    obs->OnRunEnd({result.steps, result.rounds, result.terminated,
-                   result.size_guard_tripped, current.size(),
-                   result.stop_reason});
+    result.terminated = result.stop_reason == StopReason::kFixpoint;
+    result.size_guard_tripped =
+        result.stop_reason == StopReason::kInstanceSizeGuard;
+    if (obs != nullptr) {
+      if (governor->fault_fired()) {
+        obs->OnFaultInjected({governor->fault_site(), governor->fault_visit(),
+                              governor->reason()});
+      }
+      EmitMatchPlanDelta(result.rounds);
+      obs->OnRunEnd({result.steps, result.rounds, result.terminated,
+                     result.size_guard_tripped, current.size(),
+                     result.stop_reason});
+    }
+    TWCHASE_LOG(Debug) << "chase " << ChaseVariantName(options.variant) << ": "
+                       << result.steps << " steps, " << result.rounds
+                       << " rounds, stop=" << StopReasonName(result.stop_reason)
+                       << ", |F|=" << current.size();
+    current.DrainDelta();  // the final element needs no pending delta
+    result.derivation.SetFinal(std::move(current));
   }
-  TWCHASE_LOG(Debug) << "chase " << ChaseVariantName(options.variant) << ": "
-                     << result.steps << " steps, " << result.rounds
-                     << " rounds, stop=" << StopReasonName(result.stop_reason)
-                     << ", |F|=" << current.size();
-  current.DrainDelta();  // the final element needs no pending delta
-  result.derivation.SetFinal(std::move(current));
-  return result;
+
+  const KnowledgeBase& kb;
+  const ChaseOptions& options;
+  Vocabulary* const vocab;
+  // The observer is a read-only tap; every emission site is a single
+  // untaken branch when no observer is attached.
+  ChaseObserver* const obs;
+  const bool is_core;
+  const bool delta_on;
+  // Monotone variants never erase atoms, so a trigger once applied — or,
+  // for the restricted chase, once satisfied — can never become active
+  // again: the delta evaluation retires such matches instead of re-checking
+  // them every round. Frugal and core runs erase atoms (satisfaction is not
+  // stable), so their matches are kept and re-checked.
+  const bool retire_considered;
+  const bool plan_on;
+  const bool core_guard_on;
+
+  ChaseResult result;
+  ResumeLog* const rec;
+
+  // The recorded prefix a Resume replays, and the position in it. Set once,
+  // when replay reaches the end of the log but the reconstructed state does
+  // not match the checkpointed one: `replay_error`.
+  ResumeLog replay_log;
+  ReplayCursor cursor;
+  Status replay_error = Status::OK();
+
+  AtomSet current;
+
+  // Cooperative resource governance: the segment's governor is polled at
+  // every trigger/round boundary here and at every search node inside the
+  // homomorphism, coring, entailment and treewidth procedures via the
+  // ambient scope. Once it stops, nothing past the last committed step is
+  // trusted: partial search results are discarded, uncommitted mutations
+  // rolled back, and the run returns the consistent prefix. Each segment
+  // gets a fresh governor, seeded with the last memory estimate.
+  ResourceGovernor* governor = nullptr;
+  size_t memory_estimate = 0;
+  bool budget_stop = false;
+  std::atomic<bool>* pause = nullptr;
+
+  // Ambient chase.match.* telemetry: every homomorphism search of this run
+  // (trigger enumeration, satisfaction checks, core folds) folds its
+  // probe/scan/build counts in here. Totals are a pure function of the
+  // searches performed. `match_reported` holds the totals already reported
+  // through MatchPlanEvent, so each round's event carries deltas.
+  MatchCounters match_counters;
+  MatchPlanEvent match_reported;
+
+  // Still-core guard (plan/core_guard.h). The instance is a certified core
+  // exactly while `guard_base_established`: every certified variable was
+  // minted before `guard_base_mark` and `guard_atoms_since` holds the atoms
+  // added since certification. Certification sites are exactly the live
+  // coring successes (initial, per-step, round-end) and guard proofs;
+  // replayed retractions never certify (the base predates the replayed
+  // mutations).
+  bool guard_base_established = false;
+  uint32_t guard_base_mark = 0;
+  std::vector<Atom> guard_atoms_since;
+
+  std::vector<RuleState> rule_states;
+  ExecutionPlan exec_plan;
+  std::vector<std::unordered_set<PredicateId>> plan_body_predicates;
+  bool skip_dormant = false;
+  DeltaIndex pending_delta;
+  bool delta_primed = false;
+  size_t since_last_core = 0;
+
+  bool began = false;  // Begin() ran (in the first segment)
+
+  // The round in progress, from Order to EndRound: its ordered triggers,
+  // the next one to consider, and what the round did so far.
+  bool in_round = false;
+  std::vector<PendingTrigger> pending;
+  size_t next_pending = 0;
+  size_t steps_at_round_start = 0;
+  RoundPlanStats round_plan;
+  bool progressed = false;
+  Substitution sigma_round;  // composition of simplifications this round
+};
+
+// ---------------------------------------------------------------------------
+// ChaseSession
+
+const char* ChaseSessionStateName(ChaseSession::State state) {
+  switch (state) {
+    case ChaseSession::State::kIdle: return "idle";
+    case ChaseSession::State::kRunning: return "running";
+    case ChaseSession::State::kPaused: return "paused";
+    case ChaseSession::State::kDone: return "done";
+  }
+  return "unknown";
 }
 
-}  // namespace internal
+ChaseSession::ChaseSession(const KnowledgeBase& kb, const ChaseOptions& options)
+    : kb_(&kb), options_(options) {
+  // Cancel() needs a real token: a caller-provided one is kept and shared,
+  // otherwise the session mints its own.
+  if (!options_.limits.cancel.valid()) {
+    options_.limits.cancel = CancelToken::Create();
+  }
+}
+
+ChaseSession::~ChaseSession() = default;
+
+StatusOr<std::unique_ptr<ChaseSession>> ChaseSession::Create(
+    const KnowledgeBase& kb, const ChaseOptions& options) {
+  if (kb.vocab == nullptr) {
+    return Status::InvalidArgument("knowledge base has no vocabulary");
+  }
+  TWCHASE_RETURN_IF_ERROR(options.Validate());
+  return std::unique_ptr<ChaseSession>(new ChaseSession(kb, options));
+}
+
+Status ChaseSession::Enter(State from, std::optional<ResumeLog> replay) {
+  State expected = from;
+  if (!state_.compare_exchange_strong(expected, State::kRunning,
+                                      std::memory_order_acq_rel)) {
+    return Status::FailedPrecondition(
+        std::string(from == State::kIdle ? "session already started"
+                                         : "session is not paused") +
+        " (state: " + ChaseSessionStateName(expected) + ")");
+  }
+  if (from == State::kIdle) {
+    run_ = std::make_unique<Run>(*kb_, options_, std::move(replay));
+  }
+  StatusOr<bool> finished = run_->Advance(&pause_requested_);
+  if (!finished.ok()) {
+    run_.reset();
+    state_.store(State::kDone, std::memory_order_release);
+    return finished.status();
+  }
+  if (*finished) {
+    result_ = std::move(run_->result);
+    run_.reset();
+    has_result_ = true;
+  }
+  state_.store(*finished ? State::kDone : State::kPaused,
+               std::memory_order_release);
+  return Status::OK();
+}
+
+Status ChaseSession::Start() { return Enter(State::kIdle, std::nullopt); }
+
+Status ChaseSession::Continue() { return Enter(State::kPaused, std::nullopt); }
+
+Status ChaseSession::Resume(const ChaseCheckpoint& checkpoint) {
+  // The decision bits are meaningless against a different schedule, and the
+  // serialized substitutions refer to the term ids of one exact program.
+  if (options_.variant != checkpoint.variant) {
+    return Status::FailedPrecondition(
+        std::string("resume: checkpoint was recorded with variant '") +
+        ChaseVariantName(checkpoint.variant) + "', options request '" +
+        ChaseVariantName(options_.variant) + "'");
+  }
+  if (options_.datalog_first != checkpoint.datalog_first ||
+      options_.delta.enabled != checkpoint.delta_enabled ||
+      options_.core.core_every != checkpoint.core_every ||
+      options_.core.core_at_round_end != checkpoint.core_at_round_end ||
+      options_.core.core_initial != checkpoint.core_initial) {
+    return Status::FailedPrecondition(
+        "resume: schedule-shaping options (datalog_first, delta.enabled, "
+        "coring schedule) differ from the recorded run; the decision bits "
+        "are meaningless against a different schedule");
+  }
+  if (CheckpointFingerprint(*kb_, options_) != checkpoint.program_fingerprint) {
+    return Status::FailedPrecondition(
+        "resume: fingerprint mismatch — the checkpoint belongs to a "
+        "different rule set or fact base, or was recorded under a different "
+        "--match-backend or --plan setting");
+  }
+  if (checkpoint.log.have_initial &&
+      kb_->vocab->num_variables() != checkpoint.log.initial_num_variables) {
+    return Status::FailedPrecondition(
+        "resume: vocabulary is not in the recorded run's start state "
+        "(expected " +
+        std::to_string(checkpoint.log.initial_num_variables) +
+        " variables, found " + std::to_string(kb_->vocab->num_variables()) +
+        "); re-parse the program into a fresh vocabulary before resuming");
+  }
+  ResumeLog log = checkpoint.log;
+  log.verify_landing = true;
+  log.expected_instance_size = checkpoint.instance_size;
+  log.expected_instance_hash = checkpoint.instance_hash;
+  log.committed_num_variables = checkpoint.expected_variables;
+  return Enter(State::kIdle, std::move(log));
+}
+
+void ChaseSession::Pause() {
+  pause_requested_.store(true, std::memory_order_release);
+}
+
+void ChaseSession::Cancel() { options_.limits.cancel.RequestCancel(); }
+
+const ChaseResult& ChaseSession::Result() const {
+  TWCHASE_CHECK_MSG(has_result_, "ChaseSession::Result before completion");
+  return result_;
+}
+
+ChaseResult ChaseSession::TakeResult() {
+  TWCHASE_CHECK_MSG(has_result_, "ChaseSession::TakeResult before completion");
+  has_result_ = false;
+  return std::move(result_);
+}
+
+StatusOr<ChaseCheckpoint> ChaseSession::Checkpoint() const {
+  const State state = state_.load(std::memory_order_acquire);
+  if (state != State::kPaused && state != State::kDone) {
+    return Status::FailedPrecondition(
+        std::string("cannot checkpoint a session in state '") +
+        ChaseSessionStateName(state) + "'");
+  }
+  if (!options_.resume.record_log || (state == State::kDone && !has_result_)) {
+    return Status::FailedPrecondition(
+        "cannot checkpoint: the session holds no recorded run "
+        "(resume.record_log off, or the result was taken)");
+  }
+  if (state == State::kDone) return MakeCheckpoint(*kb_, options_, result_);
+  // A paused run's last element is its live instance; the format records a
+  // paused prefix as cancelled (resume does not read the stop reason).
+  ChaseCheckpoint checkpoint = MakeCheckpoint(*kb_, options_, run_->result);
+  checkpoint.stop_reason = StopReason::kCancelled;
+  checkpoint.instance_size = run_->current.size();
+  checkpoint.instance_hash = run_->current.ContentHash();
+  return checkpoint;
+}
+
+// The one-shot surface: a session that is started once.
+StatusOr<ChaseResult> RunChase(const KnowledgeBase& kb,
+                               const ChaseOptions& options) {
+  auto session = ChaseSession::Create(kb, options);
+  if (!session.ok()) return session.status();
+  TWCHASE_RETURN_IF_ERROR((*session)->Start());
+  return (*session)->TakeResult();
+}
 
 }  // namespace twchase

@@ -375,41 +375,13 @@ struct ChaseResult {
   ResumeLog resume_log;
 };
 
-/// Runs the chase on kb. Fresh nulls are minted in *kb.vocab.
-///
-/// COMPATIBILITY SURFACE: since the ChaseSession redesign
-/// (core/session.h) this is a thin wrapper — create a session, Start() it,
-/// take the result. Behavior is bit-identical to the historical free
-/// function; new code that needs lifecycle control (pause, checkpoint,
-/// cancellation from another thread, many concurrent runs in one process)
-/// should hold a ChaseSession instead.
+/// Runs the chase on kb to completion. Fresh nulls are minted in
+/// *kb.vocab. A one-shot wrapper: create a ChaseSession (core/session.h),
+/// Start() it, take the result. Callers that need lifecycle control (pause
+/// and continue, cancellation from another thread, checkpoints, many
+/// concurrent runs in one process) hold a ChaseSession instead.
 StatusOr<ChaseResult> RunChase(const KnowledgeBase& kb,
                                const ChaseOptions& options);
-
-/// RunChase, deterministically replaying the prefix recorded in `replay`
-/// (decision bits consumed instead of satisfaction checks, recorded
-/// retractions applied instead of recomputing cores) before continuing
-/// live. The backbone of ResumeChase (core/checkpoint.h); `replay` may be
-/// null, which is plain RunChase. Replay requires the same kb, options and
-/// a fresh vocabulary state — callers go through ResumeChase, which
-/// validates all of that. Compatibility wrapper over
-/// ChaseSession::StartWithReplay, like RunChase above.
-StatusOr<ChaseResult> RunChaseWithReplay(const KnowledgeBase& kb,
-                                         const ChaseOptions& options,
-                                         const ResumeLog* replay);
-
-namespace internal {
-
-/// The engine proper: one uninterrupted run segment (optionally replaying a
-/// recorded prefix) on the calling thread. Exposed for ChaseSession
-/// (core/session.h), which owns validation and lifecycle; everything else —
-/// the CLI, the daemon, tests — goes through the session or the
-/// compatibility wrappers above.
-StatusOr<ChaseResult> ExecuteChase(const KnowledgeBase& kb,
-                                   const ChaseOptions& options,
-                                   const ResumeLog* replay);
-
-}  // namespace internal
 
 }  // namespace twchase
 

@@ -403,9 +403,8 @@ StatusOr<ChaseCheckpoint> ParseSealedCheckpoint(const std::string& text) {
   return ParseCheckpoint(body);
 }
 
-// Compatibility wrapper: the validation surface and the replay live in
-// ChaseSession::Resume (core/session.h) since the session redesign; this
-// keeps the historical one-shot signature and error order.
+// One-shot wrapper: the validation and the replay live in
+// ChaseSession::Resume (core/session.h).
 StatusOr<ChaseResult> ResumeChase(const KnowledgeBase& kb,
                                   const ChaseOptions& options,
                                   const ChaseCheckpoint& checkpoint) {

@@ -1,25 +1,28 @@
-// Checkpointing and resumption of chase runs.
+// Checkpointing and resumption of chase runs across process restarts.
 //
 // The paper's interesting chases are precisely the ones that do not
 // terminate (the core-chase sequences of the inflating elevator grow
-// forever), so a practical engine must be able to stop a run at a budget
-// boundary, write everything needed to continue, and later resume
-// *bit-identically*: the resumed run produces the same final instance, the
-// same derivation journal and the same observer event stream as an
-// uninterrupted run with the combined budget.
+// forever), so a practical engine must be able to stop a run, write
+// everything needed to continue, and later resume *bit-identically*: the
+// resumed run produces the same final instance, the same derivation journal
+// and the same observer event stream as an uninterrupted run with the
+// combined budget.
 //
-// A checkpoint is NOT an instance snapshot. Serializing the instance alone
-// cannot resume a run: the scheduler's future depends on state that is
-// expensive or impossible to externalize directly (stored match sets,
-// applied-key sets, the coring cadence). Instead a checkpoint carries the
-// ResumeLog — the per-round decision bits and the recorded coring/folding
-// retractions — and resumption REPLAYS the recorded prefix through the very
-// same scheduler code path (RunChaseWithReplay): decision bits substitute
-// for satisfaction checks and recorded retractions substitute for core
-// recomputation, so replay is cheap (no homomorphism searches) and lands in
-// the exact scheduler state, stored matches and all, where the run stopped.
-// The instance size/hash recorded here are a cross-check of that landing,
-// not the mechanism.
+// Within one process a paused run needs none of this: ChaseSession keeps
+// its engine state and Continue() goes on in memory (core/session.h).
+// Checkpoints serve restarts: the daemon's durable store, the CLI's
+// --checkpoint-out/--resume-from and the wire's checkpoint fields.
+//
+// A checkpoint is NOT an instance snapshot. The scheduler's future depends
+// on state that is expensive to externalize (stored match sets, applied-key
+// sets, the coring cadence). Instead a checkpoint carries the ResumeLog —
+// the per-round decision bits and the recorded coring/folding retractions —
+// and ChaseSession::Resume REPLAYS the recorded prefix through the very
+// same engine loop: decision bits substitute for satisfaction checks and
+// recorded retractions for core recomputation, so replay lands in the exact
+// scheduler state, stored matches and all, where the run stopped. Its cost
+// grows with the length of the prefix. The instance size/hash recorded here
+// are a cross-check of that landing, not the mechanism.
 //
 // The knowledge base itself is deliberately not embedded: the caller
 // re-parses the same program text (the CLI passes the same file) and a
@@ -88,7 +91,8 @@ struct ChaseCheckpoint {
   ResumeLog log;
 };
 
-/// Builds a checkpoint from a finished (stopped or terminated) run. The run
+/// Builds a checkpoint from a finished (stopped or terminated) run (a
+/// paused session checkpoints through ChaseSession::Checkpoint). The run
 /// must have been executed with options.resume.record_log = true; CHECK
 /// fails otherwise (an empty log would silently resume from scratch).
 ChaseCheckpoint MakeCheckpoint(const KnowledgeBase& kb,

@@ -1,45 +1,50 @@
 // ChaseSession: the lifecycle handle for one chase run, and the primary
 // entry point of the engine. A session owns the validated ChaseOptions, the
-// cancellation token its control surface drives, and (while running) the
-// engine invocation itself; the free functions RunChase / ResumeChase /
-// RunChaseWithReplay in core/chase.h and core/checkpoint.h are retained as
-// the one-shot compatibility surface and are thin wrappers over a session.
+// cancellation token its control surface drives and, while the run is live,
+// the engine state itself: the instance, the per-rule match sets, the delta
+// index, the execution plan, the still-core guard, the coring cadence and
+// the current round's ordered triggers. The free functions RunChase and
+// ResumeChase (core/chase.h, core/checkpoint.h) are one-shot wrappers over
+// a session.
 //
-// The session exists because one process now hosts MANY chases at once (the
-// multi-tenant daemon in src/service/): each concurrent job needs its own
-// governor, its own observers, and a control surface that another thread
-// can drive — preempt a long job at a consistent boundary, turn the stopped
-// prefix into a checkpoint, and later continue it elsewhere. The one-shot
-// functions cannot express "pause this particular run over there"; the
-// session can, without changing a single engine behavior: a session that is
-// only ever Start()ed is byte-for-byte the old RunChase.
+// One process hosts many chases at once (the multi-tenant daemon in
+// src/service/): each job needs its own governor, its own observers, and a
+// control surface that another thread can drive — preempt a long job at a
+// clean boundary and continue it later, in memory.
 //
-// State machine (one-way; a session runs at most one segment):
+// State machine:
 //
-//     kIdle --Start()/Resume(cp)--> kRunning --+--> kDone    (fixpoint or
-//                                              |              budget/cancel)
-//                                              +--> kPaused  (Pause() was
-//                                                            requested and
-//                                                            the run stopped
-//                                                            at a boundary)
+//     kIdle --Start()/Resume(cp)--> kRunning --+--> kDone    (fixpoint,
+//                                     ^        |              budget or
+//                                     |        |              cancel)
+//                                     |        +--> kPaused  (Pause() was
+//                                     |        |             requested)
+//                                Continue()    |
+//                                     +--------+
 //
-// Start()/Resume() execute synchronously on the calling thread (the daemon
-// runs them on scheduler workers). Pause() and Cancel() are thread-safe
-// asynchronous requests: both stop the run cooperatively at the next
-// governed boundary; they differ only in how the session classifies the
-// stop. A paused session yields a Checkpoint() from which a NEW session —
-// over a freshly parsed copy of the same program, exactly like ResumeChase —
-// continues the run bit-identically (same final instance, derivation
-// journal and observer event stream as the uninterrupted run; the
-// fault-injection suite proves this at every boundary).
+// Start()/Resume()/Continue() execute synchronously on the calling thread
+// (the daemon runs them on scheduler workers). Pause() and Cancel() are
+// thread-safe asynchronous requests. A pause is honoured only at a round or
+// trigger boundary, where nothing is half-committed; a cancel stops the run
+// at the next governed boundary (searches included) with
+// StopReason::kCancelled. Pausing and continuing any number of times yields
+// exactly the uninterrupted run: same final instance, derivation journal,
+// ChaseStats and observer event stream (a paused run emits no RunEnd, a
+// continued one no second RunBegin).
 //
-// Thread-safety: Start/Resume/Result/TakeResult/Checkpoint belong to the
-// owning (worker) thread; Pause/Cancel/state may be called from any thread.
+// Checkpoints are for restarts only: Checkpoint() turns a paused or
+// finished run into a ChaseCheckpoint, and Resume() on a NEW session over a
+// freshly parsed copy of the program replays it (core/checkpoint.h).
+//
+// Thread-safety: Start/Resume/Continue/Result/TakeResult/Checkpoint belong
+// to the owning (worker) thread; Pause/Cancel/state may be called from any
+// thread.
 #ifndef TWCHASE_CORE_SESSION_H_
 #define TWCHASE_CORE_SESSION_H_
 
 #include <atomic>
 #include <memory>
+#include <optional>
 
 #include "core/chase.h"
 #include "core/checkpoint.h"
@@ -52,90 +57,85 @@ class ChaseSession {
  public:
   enum class State {
     kIdle,     // created, not yet started
-    kRunning,  // Start()/Resume() executing on the owning thread
-    kPaused,   // stopped by Pause(); Checkpoint() continues it elsewhere
+    kRunning,  // Start()/Resume()/Continue() executing on the owning thread
+    kPaused,   // parked at a boundary by Pause(); Continue() goes on
     kDone,     // fixpoint, exhausted budget, cancelled, or failed
   };
 
-  /// Validates `options` (same checks, same error order as the one-shot
-  /// RunChase: vocabulary first, then ChaseOptions::Validate) and builds an
-  /// idle session. `kb` is borrowed and must outlive the session. If the
-  /// caller's options carry no cancel token, the session mints one so that
-  /// Pause()/Cancel() always work; a caller-provided token is kept and
-  /// shared (external cancellation still stops the run, reported as kDone).
+  /// Validates `options` (vocabulary first, then ChaseOptions::Validate)
+  /// and builds an idle session. `kb` is borrowed and must outlive the
+  /// session. If the caller's options carry no cancel token, the session
+  /// mints one so that Cancel() always works; a caller-provided token is
+  /// kept and shared (external cancellation still stops the run, reported
+  /// as kDone).
   static StatusOr<std::unique_ptr<ChaseSession>> Create(
       const KnowledgeBase& kb, const ChaseOptions& options);
 
-  /// Runs the chase to a stop boundary on the calling thread. Returns OK
-  /// when the engine produced a result (even a budget-stopped or cancelled
-  /// prefix — those are recoverable outcomes, not errors) and the session
-  /// moved to kDone or kPaused. FailedPrecondition if the session is not
-  /// idle.
+  ~ChaseSession();
+
+  /// Runs the chase on the calling thread until it finishes (kDone) or
+  /// parks at a requested pause (kPaused). Returns OK when the engine
+  /// produced a result or parked (a budget-stopped or cancelled prefix is a
+  /// recoverable outcome, not an error). FailedPrecondition if the session
+  /// is not idle.
   Status Start();
 
-  /// Continues a checkpointed run: validates the checkpoint against kb and
-  /// options exactly as ResumeChase does (variant, schedule echo,
-  /// fingerprint, fresh-vocabulary state), replays the recorded prefix and
-  /// goes live. Same threading and outcome contract as Start().
+  /// Starts a checkpointed run: validates the checkpoint against kb and
+  /// options (variant, schedule echo, fingerprint, fresh-vocabulary state),
+  /// replays the recorded prefix and goes live. Same threading and outcome
+  /// contract as Start(); a pause may park the run during the replay.
   Status Resume(const ChaseCheckpoint& checkpoint);
 
-  /// Compatibility entry for the deterministic-replay path (the backbone of
-  /// Resume and of the recorded-run tests): Start(), but replaying `replay`
-  /// first. `replay` may be null (plain Start) and is borrowed for the
-  /// duration of the call.
-  Status StartWithReplay(const ResumeLog* replay);
+  /// Continues a paused run in memory from the boundary where it parked,
+  /// under a fresh governor (limits.deadline_ms bounds each call). Same
+  /// outcome contract as Start(). FailedPrecondition unless kPaused.
+  Status Continue();
 
-  /// Requests preemption from any thread: the run stops at the next
-  /// governed boundary and the session lands in kPaused, from which
-  /// Checkpoint() resumes it later. FailedPrecondition unless the session
-  /// records a resume log (options.resume.record_log — a run without the
-  /// log cannot be continued, only cancelled). Pausing a session that
-  /// already finished is a harmless no-op (the finished state wins).
-  Status Pause();
+  /// Requests a pause from any thread: the run parks at its next round or
+  /// trigger boundary. A run that finishes first ignores it; a request made
+  /// while the session is not running parks the next segment at its first
+  /// boundary.
+  void Pause();
 
-  /// Requests cancellation from any thread: the run stops at the next
-  /// governed boundary with StopReason::kCancelled and the session lands in
-  /// kDone. Always safe; overrides a concurrent Pause().
+  /// Requests cancellation from any thread by firing the options' cancel
+  /// token: the run stops at the next governed boundary with
+  /// StopReason::kCancelled. A paused session stops at the first boundary
+  /// of its next Continue() and lands in kDone.
   void Cancel();
 
-  /// The finished run (kPaused or kDone). The paused case holds the
-  /// consistent prefix the checkpoint is built from.
+  /// The finished run (kDone).
   const ChaseResult& Result() const;
 
   /// Moves the result out (for callers that return it by value). The
   /// session keeps its terminal state but the result is gone.
   ChaseResult TakeResult();
 
-  /// Builds the checkpoint of a kPaused (or kDone-with-log) session.
-  /// FailedPrecondition while running/idle or without a recorded log.
+  /// Builds the checkpoint of a kPaused or kDone session. FailedPrecondition
+  /// while running/idle, without a recorded log (resume.record_log), or
+  /// after TakeResult.
   StatusOr<ChaseCheckpoint> Checkpoint() const;
 
   State state() const { return state_.load(std::memory_order_acquire); }
 
-  /// Meaningful once the session left kRunning.
+  /// Meaningful once the session is kDone.
   StopReason stop_reason() const { return result_.stop_reason; }
 
-  /// True once Pause() was requested (even if the run finished first).
-  bool pause_requested() const {
-    return pause_requested_.load(std::memory_order_acquire);
-  }
-
-  const ChaseOptions& options() const { return options_; }
-  const KnowledgeBase& kb() const { return *kb_; }
-
  private:
+  struct Run;  // the engine state, core/chase.cc
+
   ChaseSession(const KnowledgeBase& kb, const ChaseOptions& options);
+
+  /// Moves `from` -> kRunning, drives the run (building it first when
+  /// leaving kIdle, replaying `replay` if given) and lands in kPaused or
+  /// kDone.
+  Status Enter(State from, std::optional<ResumeLog> replay);
 
   const KnowledgeBase* kb_;
   ChaseOptions options_;
 
-  /// Shares the flag with options_.limits.cancel: RequestCancel here stops
-  /// the engine segment, whoever started it.
-  CancelToken control_token_;
-
   std::atomic<State> state_{State::kIdle};
   std::atomic<bool> pause_requested_{false};
-  std::atomic<bool> cancel_requested_{false};
+  std::unique_ptr<Run> run_;  // from start until the run finishes
   ChaseResult result_;
   bool has_result_ = false;
 };

@@ -68,17 +68,24 @@ StatusCode StatusCodeFromName(const std::string& name) {
 
 }  // namespace
 
-/// One chase job: a program run as a sequence of scheduler segments. Every
-/// segment re-parses the program text (a resume needs the vocabulary in
-/// start state) and Start()s or Resume()s a fresh ChaseSession; preemption
-/// turns the paused session into a serialized checkpoint carried to the
-/// next segment. All cross-thread state (the live session pointer for
-/// Pause/Cancel, the rendered result for the HTTP handlers) sits behind
-/// one mutex; the chase itself runs outside it.
+/// One chase job: a program run as a sequence of scheduler segments. The
+/// job keeps the program parsed at admission, the ChaseSession and the
+/// event capture for its whole life. The first segment Start()s or
+/// Resume()s the session; every later one Continue()s it in memory from
+/// where the preemption parked it. All cross-thread state (the session
+/// pointer for Pause/Cancel, the rendered result for the HTTP handlers)
+/// sits behind one mutex; the chase itself runs outside it.
 class ChaseDaemon::ChaseJob : public PreemptibleJob {
  public:
-  ChaseJob(std::string id, JobRequest request, ChaseDaemon* daemon)
-      : id_(std::move(id)), request_(std::move(request)), daemon_(daemon) {}
+  /// `program` is the parse of request.program, in its start state; null
+  /// only for a job that never runs (a recovered terminal or unrecoverable
+  /// one).
+  ChaseJob(std::string id, JobRequest request, ChaseDaemon* daemon,
+           std::unique_ptr<ParsedProgram> program = nullptr)
+      : id_(std::move(id)),
+        request_(std::move(request)),
+        daemon_(daemon),
+        program_(std::move(program)) {}
 
   /// Rehydrates a job that finished before a restart: the retained outcome
   /// (terminal result or structured error) is served again, no segment
@@ -142,128 +149,56 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
       ++segments_;
     }
     Stopwatch stopwatch;
-
-    // Fresh parse: term ids and the null counter must be in start state for
-    // both Start and Resume (the checkpoint fingerprint pins the text).
-    auto program = ParseProgram(request_.program);
-    if (!program.ok()) {
-      return Terminal(Status::Internal("program re-parse failed: " +
-                                       program.status().message()));
-    }
-
-    // --variant=auto: resolve once, on the first segment, and pin the
-    // decision into the job's options — every later segment (and the
-    // checkpoint fingerprint, which folds the verdict) must see the same
-    // resolution rather than re-running the preflight.
-    if (request_.options.preflight.auto_variant &&
-        !request_.options.preflight.resolved) {
-      ChaseOptions resolved = request_.options;
-      auto report =
-          ResolveAutoVariant(program->kb, PreflightOptions{}, &resolved);
-      if (!report.ok()) return Terminal(report.status());
-      std::lock_guard<std::mutex> lock(mu_);
-      request_.options = resolved;
-      preflight_summary_ = report->Summary();
-    }
-
-    // Preemption needs the resume log; forcing it on changes memory, never
-    // results.
-    ChaseOptions options = request_.options;
-    options.resume.record_log = true;
-
-    std::ostringstream events;
-    ObserverList observers;
-    std::optional<EventLogObserver> event_log;
-    if (request_.capture_events) {
-      event_log.emplace(&events);
-      observers.Add(&*event_log);
-      options.observer = &observers;
-    }
-
-    auto session = ChaseSession::Create(program->kb, options);
-    if (!session.ok()) return Terminal(session.status());
-
-    // The segment's resume source: our own pause checkpoint wins over the
-    // caller-supplied one (which only seeds the first segment).
-    std::string checkpoint_text;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      live_session_ = session->get();
-      checkpoint_text = saved_checkpoint_.empty() ? request_.resume_checkpoint
-                                                  : saved_checkpoint_;
-      if (cancel_requested_) live_session_->Cancel();
-    }
-
-    Status run = Status::OK();
-    if (checkpoint_text.empty()) {
-      run = (*session)->Start();
-    } else {
-      auto checkpoint = ParseCheckpoint(checkpoint_text);
-      if (!checkpoint.ok()) {
-        // Already holding mu_: Terminal() would re-lock and deadlock.
-        std::lock_guard<std::mutex> lock(mu_);
-        live_session_ = nullptr;
-        return TerminalLocked(checkpoint.status());
-      }
-      run = (*session)->Resume(*checkpoint);
-    }
+    Status run = session_ == nullptr ? StartSession() : session_->Continue();
 
     std::lock_guard<std::mutex> lock(mu_);
-    live_session_ = nullptr;
     elapsed_seconds_ += stopwatch.ElapsedSeconds();
     if (!run.ok()) return TerminalLocked(run);
 
-    if ((*session)->state() == ChaseSession::State::kPaused) {
-      auto checkpoint = (*session)->Checkpoint();
-      if (!checkpoint.ok()) return TerminalLocked(checkpoint.status());
-      saved_checkpoint_ = SerializeCheckpoint(*checkpoint);
+    if (session_->state() == ChaseSession::State::kPaused) {
       state_ = "paused";
-      // Every preemption boundary is a durability boundary: a SIGKILL
-      // after this line resumes from exactly here.
-      daemon_->PersistSnapshot(id_, SerializeCheckpointSealed(*checkpoint));
+      // With a store, every preemption boundary is a durability boundary: a
+      // SIGKILL after this line resumes from exactly here.
+      Status persisted = daemon_->PersistSnapshot(id_, *session_);
+      if (!persisted.ok()) return TerminalLocked(persisted);
       return Outcome::kPaused;
     }
 
-    if ((*session)->stop_reason() == StopReason::kCancelled &&
+    if (session_->stop_reason() == StopReason::kCancelled &&
         daemon_->WantShutdownSnapshot()) {
       // Graceful shutdown cancelled this run, not a client: snapshot the
       // stopped prefix instead of recording a cancelled terminal, so the
       // restarted daemon re-admits and resumes it. The session is
       // kDone-with-log, which Checkpoint() accepts.
-      auto checkpoint = (*session)->Checkpoint();
-      if (checkpoint.ok()) {
-        saved_checkpoint_ = SerializeCheckpoint(*checkpoint);
-        daemon_->PersistSnapshot(id_,
-                                 SerializeCheckpointSealed(*checkpoint));
+      if (daemon_->PersistSnapshot(id_, *session_).ok()) {
         state_ = "paused";
         return Outcome::kCompleted;  // drains the scheduler slot cleanly
       }
       // Checkpoint unavailable: fall through to the cancelled terminal.
     }
 
-    if (request_.capture_events) last_events_ = events.str();
-    RenderResultLocked(**session, *program);
-    state_ = (*session)->stop_reason() == StopReason::kCancelled
-                 ? "cancelled"
-                 : "done";
+    RenderResultLocked();
+    state_ = session_->stop_reason() == StopReason::kCancelled ? "cancelled"
+                                                               : "done";
     result_.Set("state", Json::String(state_));
     FoldMetricsLocked();
     daemon_->PersistTerminal(id_, state_, result_);
+    // The rendered result is all a finished job keeps.
+    session_.reset();
+    program_.reset();
+    events_.str(std::string());
     return Outcome::kCompleted;
   }
 
   void RequestPause() override {
     std::lock_guard<std::mutex> lock(mu_);
-    if (live_session_ == nullptr) return;
-    // FailedPrecondition cannot happen: every session records a log, and
-    // pausing a finished session is a no-op.
-    (void)live_session_->Pause();
+    if (state_ == "running" && session_ != nullptr) session_->Pause();
   }
 
   void RequestCancel() override {
     std::lock_guard<std::mutex> lock(mu_);
     cancel_requested_ = true;
-    if (live_session_ != nullptr) live_session_->Cancel();
+    if (session_ != nullptr) session_->Cancel();
   }
 
   Json StatusJson() const {
@@ -304,22 +239,60 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   }
 
  private:
-  /// Marks the job failed; both overloads return kFailed for RunSegment.
-  Outcome Terminal(const Status& status) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return TerminalLocked(status);
+  /// The first segment: resolves --variant=auto, builds the session and
+  /// Start()s it, or Resume()s the submitted (or recovered) checkpoint.
+  Status StartSession() {
+    // --variant=auto: resolve once and pin the decision into the job's
+    // options — the checkpoint fingerprint folds the verdict, so snapshots
+    // must see the same resolution.
+    if (request_.options.preflight.auto_variant &&
+        !request_.options.preflight.resolved) {
+      ChaseOptions resolved = request_.options;
+      auto report =
+          ResolveAutoVariant(program_->kb, PreflightOptions{}, &resolved);
+      if (!report.ok()) return report.status();
+      std::lock_guard<std::mutex> lock(mu_);
+      request_.options = resolved;
+      preflight_summary_ = report->Summary();
+    }
+
+    // The resume log costs memory proportional to the run; record it only
+    // where a checkpoint can be asked for: durable snapshots and
+    // return_checkpoint.
+    ChaseOptions options = request_.options;
+    options.resume.record_log = options.resume.record_log ||
+                                request_.return_checkpoint ||
+                                daemon_->store_ != nullptr;
+    if (request_.capture_events) {
+      event_log_.emplace(&events_);
+      observers_.Add(&*event_log_);
+      options.observer = &observers_;
+    }
+    auto session = ChaseSession::Create(program_->kb, options);
+    if (!session.ok()) return session.status();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      session_ = std::move(*session);
+      if (cancel_requested_) session_->Cancel();
+    }
+    if (request_.resume_checkpoint.empty()) return session_->Start();
+    auto checkpoint = ParseCheckpoint(request_.resume_checkpoint);
+    if (!checkpoint.ok()) return checkpoint.status();
+    return session_->Resume(*checkpoint);
   }
+
+  /// Marks the job failed and returns kFailed for RunSegment. Holds mu_.
   Outcome TerminalLocked(const Status& status) {
     error_ = status;
     state_ = "failed";
+    session_.reset();
+    program_.reset();
     daemon_->PersistFailed(id_, status);
     return Outcome::kFailed;
   }
 
-  /// Renders the terminal payload. Holds mu_; the program (and its
-  /// vocabulary, which the printed atoms reference) is alive only for this
-  /// call, so everything is rendered to strings now.
-  void RenderResultLocked(ChaseSession& session, const ParsedProgram& program);
+  /// Renders the terminal payload from the finished session. Holds mu_.
+  void RenderResultLocked();
   void FoldMetricsLocked();
 
   /// The --variant=auto provenance payload for status and result bodies.
@@ -349,19 +322,24 @@ class ChaseDaemon::ChaseJob : public PreemptibleJob {
   bool cancel_requested_ = false;
   uint64_t segments_ = 0;
   double elapsed_seconds_ = 0;
-  std::string saved_checkpoint_;
-  std::string last_events_;
   std::string preflight_summary_;
-  ChaseSession* live_session_ = nullptr;
+
+  // The live run, from admission to the terminal segment. The session
+  // borrows the program's knowledge base and reports to the observers.
+  std::unique_ptr<ParsedProgram> program_;
+  std::ostringstream events_;
+  std::optional<EventLogObserver> event_log_;
+  ObserverList observers_;
+  std::unique_ptr<ChaseSession> session_;
 
   Status error_;
   Json result_;
   bool has_result_ = false;
 };
 
-void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
-                                               const ParsedProgram& program) {
-  const ChaseResult& run = session.Result();
+void ChaseDaemon::ChaseJob::RenderResultLocked() {
+  const ChaseResult& run = session_->Result();
+  const ParsedProgram& program = *program_;
   const KnowledgeBase& kb = program.kb;
   const AtomSet& instance = run.derivation.Last();
 
@@ -446,16 +424,14 @@ void ChaseDaemon::ChaseJob::RenderResultLocked(ChaseSession& session,
   }
   result_.Set("text", Json::String(text));
   if (request_.capture_events) {
-    // (Filled by RunSegment's capture; a resumed segment re-emits the full
-    // stream, so the last segment's capture is the complete one.)
-    result_.Set("events", Json::String(last_events_));
+    result_.Set("events", Json::String(events_.str()));
   }
   if (request_.return_checkpoint) {
-    // Every job runs with the resume log on — mirror that here.
-    ChaseOptions recorded = request_.options;
-    recorded.resume.record_log = true;
-    result_.Set("checkpoint", Json::String(SerializeCheckpoint(
-                                  MakeCheckpoint(kb, recorded, run))));
+    auto checkpoint = session_->Checkpoint();
+    if (checkpoint.ok()) {
+      result_.Set("checkpoint",
+                  Json::String(SerializeCheckpoint(*checkpoint)));
+    }
   }
   has_result_ = true;
 }
@@ -532,9 +508,13 @@ std::string ChaseDaemon::PersistenceStatus() const {
   return "durable";
 }
 
-void ChaseDaemon::PersistSnapshot(const std::string& id,
-                                  const std::string& sealed) {
-  if (store_ != nullptr) (void)store_->WriteSnapshot(id, sealed);
+Status ChaseDaemon::PersistSnapshot(const std::string& id,
+                                    const ChaseSession& session) {
+  if (store_ == nullptr) return Status::OK();
+  auto checkpoint = session.Checkpoint();
+  if (!checkpoint.ok()) return checkpoint.status();
+  (void)store_->WriteSnapshot(id, SerializeCheckpointSealed(*checkpoint));
+  return Status::OK();
 }
 
 void ChaseDaemon::PersistTerminal(const std::string& id,
@@ -613,10 +593,8 @@ void ChaseDaemon::RecoverFromStore() {
               "unrecoverable after restart: checkpoint snapshot invalid: " +
               checkpoint.status().message());
         } else {
-          ChaseOptions recorded = record.request.options;
-          recorded.resume.record_log = true;
           if (checkpoint->program_fingerprint !=
-              CheckpointFingerprint(program->kb, recorded)) {
+              CheckpointFingerprint(program->kb, record.request.options)) {
             unrecoverable = Status::FailedPrecondition(
                 "unrecoverable after restart: checkpoint fingerprint "
                 "mismatch (snapshot vs program/backend configuration)");
@@ -633,7 +611,10 @@ void ChaseDaemon::RecoverFromStore() {
       // original submission (including its own resume_checkpoint, if any).
     }
 
-    auto job = std::make_shared<ChaseJob>(record.id, record.request, this);
+    auto job = std::make_shared<ChaseJob>(
+        record.id, record.request, this,
+        program.ok() ? std::make_unique<ParsedProgram>(std::move(*program))
+                     : nullptr);
     if (unrecoverable.ok() && !preflight_summary.empty()) {
       job->SeedResolvedPreflight(record.request.options,
                                  std::move(preflight_summary));
@@ -825,7 +806,8 @@ HttpResponse ChaseDaemon::HandleSubmit(const HttpRequest& request) {
     return StatusResponse(valid, {FieldErrorFromValidate(valid, "options")});
   }
 
-  // Syntax-check the program up front (the job re-parses per segment).
+  // Parse the program up front: a syntax error is a 400, and the job keeps
+  // the parse.
   auto program = ParseProgram(job_request.program);
   if (!program.ok()) {
     Status status = Status::InvalidArgument("program parse error: " +
@@ -853,7 +835,9 @@ HttpResponse ChaseDaemon::HandleSubmit(const HttpRequest& request) {
     // failure degrades the store; the job still runs in memory.
     (void)store_->AppendAdmit(id, job_request, ProgramFingerprint(program->kb));
   }
-  auto job = std::make_shared<ChaseJob>(id, std::move(job_request), this);
+  auto job = std::make_shared<ChaseJob>(
+      id, std::move(job_request), this,
+      std::make_unique<ParsedProgram>(std::move(*program)));
   {
     std::lock_guard<std::mutex> lock(jobs_mu_);
     jobs_.emplace(id, job);

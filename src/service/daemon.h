@@ -26,13 +26,14 @@
 //                              / disabled)
 //
 // Execution model: each job is a ChaseSession driven through scheduler
-// SEGMENTS. Every segment re-parses the job's program text (a resumed
-// session requires the vocabulary in start state) and either Start()s the
-// run or Resume()s it from the checkpoint the previous segment's preemption
-// produced. The preemption monitor pauses long-running jobs when others are
-// queued; because resume replays the recorded log through the same engine,
-// a preempted-then-resumed job is bit-identical (instance, journal, event
-// stream) to an uninterrupted run — the service tests prove it.
+// SEGMENTS. The first segment parses the job's program and Start()s the
+// run (or Resume()s a submitted or recovered checkpoint); the job keeps the
+// program and the session, and every later segment Continue()s the session
+// in memory. The preemption monitor pauses long-running jobs when others
+// are queued; a paused-then-continued job is bit-identical (instance,
+// journal, event stream) to an uninterrupted run — the service tests prove
+// it. Checkpoints are built only for the durable store (one per preemption)
+// and for return_checkpoint.
 //
 // The per-job budget surface is ChaseOptions::limits (deadline, memory,
 // steps), enforced by the engine's own ResourceGovernor per segment;
@@ -60,6 +61,8 @@
 #include "util/status.h"
 
 namespace twchase {
+
+class ChaseSession;
 
 struct DaemonOptions {
   /// Listen port on 127.0.0.1; 0 = ephemeral (read back via port()).
@@ -152,8 +155,10 @@ class ChaseDaemon {
   void RecoverFromStore();
 
   /// Persistence hooks (no-ops without a healthy store; persistence
-  /// failures degrade the store, never the chase result).
-  void PersistSnapshot(const std::string& id, const std::string& sealed);
+  /// failures degrade the store, never the chase result). PersistSnapshot
+  /// builds the session's checkpoint only when a store is attached, and
+  /// fails only when the session cannot be checkpointed.
+  Status PersistSnapshot(const std::string& id, const ChaseSession& session);
   void PersistTerminal(const std::string& id, const std::string& state,
                        const Json& result);
   void PersistFailed(const std::string& id, const Status& error);

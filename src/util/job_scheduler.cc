@@ -4,15 +4,6 @@
 
 namespace twchase {
 
-const char* JobOutcomeName(PreemptibleJob::Outcome outcome) {
-  switch (outcome) {
-    case PreemptibleJob::Outcome::kCompleted: return "completed";
-    case PreemptibleJob::Outcome::kPaused: return "paused";
-    case PreemptibleJob::Outcome::kFailed: return "failed";
-  }
-  return "unknown";
-}
-
 JobScheduler::JobScheduler(const Options& options) : options_(options) {}
 
 JobScheduler::~JobScheduler() { Stop(); }
@@ -85,12 +76,6 @@ Status JobScheduler::Submit(const std::string& tenant,
   return Status::OK();
 }
 
-size_t JobScheduler::TenantInFlight(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = in_flight_.find(tenant);
-  return it == in_flight_.end() ? 0 : it->second;
-}
-
 size_t JobScheduler::InFlight() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;
@@ -132,7 +117,6 @@ void JobScheduler::WorkerLoop() {
       running_.erase(std::find(running_.begin(), running_.end(), entry));
       if (!terminal) {
         ++stats_.preemptions;
-        ++entry->pause_count;
         // Back of the queue, slot retained: round-robin progress without
         // re-admission.
         queue_.push_back(entry);
@@ -169,15 +153,7 @@ void JobScheduler::MonitorLoop() {
     if (queue_.empty()) continue;  // nobody waiting: let long jobs run
     auto now = std::chrono::steady_clock::now();
     for (const auto& entry : running_) {
-      // Exponential per-job backoff: every preemption costs the next
-      // segment a replay of the whole prefix, so a job that keeps getting
-      // paused earns a doubled threshold each time. Without this a slow
-      // host (or sanitizer build) can livelock a job whose replay alone
-      // exceeds the base threshold — it would be re-paused before making
-      // any progress past its own checkpoint.
-      const auto job_threshold =
-          threshold * (uint64_t{1} << std::min<uint32_t>(entry->pause_count, 10));
-      if (!entry->pause_sent && now - entry->segment_start >= job_threshold) {
+      if (!entry->pause_sent && now - entry->segment_start >= threshold) {
         entry->pause_sent = true;
         entry->job->RequestPause();
       }

@@ -7,10 +7,11 @@
 // RunSegment(), which blocks until the job either finishes (kCompleted /
 // kFailed) or honours a pause request and stops at an internal consistent
 // boundary (kPaused). A paused job goes to the back of the queue and a
-// later RunSegment() continues it — for a chase job that means checkpoint
-// on pause, replay-resume on the next segment, which the engine guarantees
-// is bit-identical to an uninterrupted run. The job keeps its admission
-// slot across pauses (preemption must never cause its own tenant a 429).
+// later RunSegment() continues it — for a chase job that means the session
+// parks in memory and continues where it stopped, which the engine
+// guarantees is bit-identical to an uninterrupted run. The job keeps its
+// admission slot across pauses (preemption must never cause its own tenant
+// a 429).
 //
 // Admission: Submit admits at most `per_tenant_quota` in-flight (queued,
 // running or paused-requeued) jobs per tenant and rejects the rest with
@@ -68,8 +69,6 @@ class PreemptibleJob {
   virtual void RequestCancel() = 0;
 };
 
-const char* JobOutcomeName(PreemptibleJob::Outcome outcome);
-
 class JobScheduler {
  public:
   struct Options {
@@ -81,10 +80,8 @@ class JobScheduler {
 
     /// Preempt a running segment once it has run this long AND other jobs
     /// are queued. nullopt disables the monitor (jobs run to completion).
-    /// The effective threshold doubles with every pause a job has already
-    /// taken (capped at x1024) — resuming replays the job's whole prefix,
-    /// so repeated preemption must back off or a job whose replay alone
-    /// exceeds the base threshold would never progress.
+    /// Every segment gets the same threshold: a continued job picks up
+    /// where it paused, so even a tiny threshold never starves it.
     std::optional<uint64_t> preempt_after_ms;
   };
 
@@ -123,15 +120,10 @@ class JobScheduler {
   Status Submit(const std::string& tenant, std::shared_ptr<PreemptibleJob> job,
                 FinishCallback done);
 
-  /// In-flight (queued + running + paused-requeued) jobs of one tenant.
-  size_t TenantInFlight(const std::string& tenant) const;
-
   /// Total in-flight jobs — the daemon's shutdown leak check.
   size_t InFlight() const;
 
   Stats GetStats() const;
-
-  const Options& options() const { return options_; }
 
  private:
   struct Entry {
@@ -139,8 +131,7 @@ class JobScheduler {
     std::shared_ptr<PreemptibleJob> job;
     FinishCallback done;
     std::chrono::steady_clock::time_point segment_start{};
-    bool pause_sent = false;    // one pause request per segment
-    uint32_t pause_count = 0;   // doubles the preempt threshold (backoff)
+    bool pause_sent = false;  // one pause request per segment
   };
 
   void WorkerLoop();

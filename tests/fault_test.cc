@@ -291,10 +291,10 @@ TEST(FaultInjectionTest, SeededSchedulesAreResumable) {
   }
 }
 
-// Where an injected stop lands, pinned. The match-establishment tasks run
-// inline at threads == 1 and must poll the governor exactly where the
-// engine always has: a fault armed at visit v of a site stops the run at
-// the same step, round and trigger consideration.
+// Where an injected stop lands, pinned. Match establishment runs on the
+// calling thread and must poll the governor exactly where the engine always
+// has: a fault armed at visit v of a site stops the run at the same step,
+// round and trigger consideration.
 TEST(FaultInjectionTest, InjectedStopPointsArePinned) {
   struct Arm {
     FaultSite site;

@@ -1,9 +1,10 @@
 // Service-layer suite: wire schemas (ChaseOptions ⇄ JSON round-trip,
 // structured 400 field paths, schema_version gating) and the multi-tenant
 // daemon's concurrency/robustness contract — quota rejections that never
-// perturb running jobs, preempt → checkpoint → resume bit-identity against
-// an uninterrupted in-process run, cancellation freeing the tenant's slot,
-// and a multi-tenant sweep through real HTTP.
+// perturb running jobs, preempt → continue bit-identity against an
+// uninterrupted in-process run (also under a slice of a few milliseconds),
+// cancellation freeing the tenant's slot, and a multi-tenant sweep through
+// real HTTP.
 //
 // Runs under `ctest -L service`, including the TSan pass of tools/check.sh
 // (HTTP handler threads, scheduler workers and the preemption monitor all
@@ -595,6 +596,53 @@ TEST(DaemonTest, PreemptedJobResumesBitIdentically) {
       << "preemption monitor never fired; test lost its purpose";
   // ...and is bit-identical to the uninterrupted reference: same steps and
   // rounds, same final instance, same full observer event stream.
+  GoldenRun golden = RunGolden(kStaircase, long_chase);
+  EXPECT_EQ(result.Get("steps").number_value(), golden.steps);
+  EXPECT_EQ(result.Get("rounds").number_value(), golden.rounds);
+  EXPECT_EQ(result.Get("stop_reason").string_value(), golden.stop_reason);
+  EXPECT_EQ(result.Get("instance_hash").string_value(), golden.instance_hash);
+  EXPECT_EQ(result.Get("events").string_value(), golden.events);
+
+  daemon.Stop();
+  EXPECT_EQ(daemon.InFlightJobs(), 0u);
+}
+
+// Stress: a long staircase core job under a preemption slice of a few
+// milliseconds, with short jobs arriving behind it the whole time. There is
+// no backoff: every segment gets the same slice, and each one continues the
+// paused session in memory where the last one stopped, so the job still
+// finishes — over many segments — bit-identical to the uninterrupted run.
+TEST(DaemonTest, TinySlicePreemptionFinishesWithoutBackoff) {
+  DaemonOptions options;
+  options.workers = 1;
+  options.per_tenant_quota = 1000;
+  options.preempt_after_ms = 3;
+  options.finished_job_retention = 0;  // every short job stays queryable
+  ChaseDaemon daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  DaemonClient client(daemon.port());
+
+  ChaseOptions long_chase = SmallCoreOptions(400);
+  std::string long_id =
+      client.Submit(MakeJobBody("alpha", kStaircase, long_chase, true));
+  std::vector<std::string> short_ids;
+  auto long_state = [&] {
+    auto json = Json::Parse(client.Fetch("GET", "/v1/jobs/" + long_id).body);
+    return json.ok() ? json->Get("state").string_value() : "";
+  };
+  while (short_ids.size() < 200 && long_state() != "done") {
+    short_ids.push_back(
+        client.Submit(MakeJobBody("beta", kClosure, SmallCoreOptions(100))));
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  EXPECT_EQ(client.AwaitTerminal(long_id, 300), "done");
+  for (const std::string& id : short_ids) {
+    EXPECT_EQ(client.AwaitTerminal(id), "done");
+  }
+
+  Json result = client.Result(long_id);
+  EXPECT_GE(result.Get("segments").number_value(), 10)
+      << "the slice did not preempt repeatedly; test lost its purpose";
   GoldenRun golden = RunGolden(kStaircase, long_chase);
   EXPECT_EQ(result.Get("steps").number_value(), golden.steps);
   EXPECT_EQ(result.Get("rounds").number_value(), golden.rounds);

@@ -10,15 +10,16 @@
 #      sweep smoke (all five variants × both match backends × plan on/off,
 #      bit-identity cross-checked per config);
 #   4. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
-#      robustness, columnar, plan, durability and analysis labelled suites
-#      under it (fault-injection, checkpoint/resume, the columnar storage
-#      layer, the planner's still-core guard, the torn-write/replay recovery
-#      paths and the preflight's sandboxed dynamic probes are exactly the
-#      code that must be memory-clean);
-#   5. TSan: ThreadSanitizer build, then the obs, columnar, plan, service
-#      and analysis labelled suites under it to race-check the sharded
-#      metrics, the daemon's HTTP handler pool + job scheduler + preemption
-#      monitor, and the sweep's backend switching;
+#      robustness, columnar, plan, durability, session and analysis labelled
+#      suites under it (fault-injection, checkpoint/resume, pause/continue,
+#      the columnar storage layer, the planner's still-core guard, the
+#      torn-write/replay recovery paths and the preflight's sandboxed dynamic
+#      probes are exactly the code that must be memory-clean);
+#   5. TSan: ThreadSanitizer build, then the obs, columnar, plan, service,
+#      session and analysis labelled suites under it to race-check the
+#      sharded metrics, the daemon's HTTP handler pool + job scheduler +
+#      preemption monitor, the session's cross-thread pause, and the sweep's
+#      backend switching;
 #   6. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
@@ -36,7 +37,8 @@
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
 #   9. bench smoke: the full bench_engine sweep (delta, matching backends,
-#      large instances, planner, service throughput, the preflight sweep)
+#      large instances, planner, service throughput, the preflight sweep,
+#      resume latency)
 #      under a generous wall-time ceiling — it fails on parity violations, a
 #      tripped memory budget, or a hang;
 #  10. planner regression gate: from the bench smoke artifact, the
@@ -56,8 +58,8 @@ JOBS="${JOBS:-2}"
 CTEST_HARD_TIMEOUT="${CTEST_HARD_TIMEOUT:-1200}"
 # Fuzz smoke duration, seconds.
 FUZZ_SECONDS="${FUZZ_SECONDS:-30}"
-# Bench smoke ceiling, seconds. Generous: the sweep takes ~1 minute on an
-# unloaded host; hitting the ceiling means a hang or a serious regression.
+# Bench smoke ceiling, seconds. Generous: the sweep takes ~2.5 minutes on
+# an unloaded host; hitting the ceiling means a hang or a serious regression.
 BENCH_HARD_TIMEOUT="${BENCH_HARD_TIMEOUT:-900}"
 
 echo "== tier-1: default preset =="
@@ -105,13 +107,13 @@ echo "== sanitizers: asan preset, delta+obs+robustness+columnar+plan+durability+
 cmake --preset asan -DTWCHASE_BUILD_FUZZERS=ON
 cmake --build --preset asan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-asan \
-  --output-on-failure -L 'delta|obs|robustness|columnar|plan|durability|analysis'
+  --output-on-failure -L 'delta|obs|robustness|columnar|plan|durability|session|analysis'
 
-echo "== tsan: thread preset, obs+columnar+plan+service+analysis labels =="
+echo "== tsan: thread preset, obs+columnar+plan+service+session+analysis labels =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 timeout "$CTEST_HARD_TIMEOUT" ctest --test-dir build-tsan \
-  --output-on-failure -L 'obs|columnar|plan|service|analysis'
+  --output-on-failure -L 'obs|columnar|plan|service|session|analysis'
 
 echo "== daemon smoke: twchased round-trip vs the CLI on bundled programs =="
 ./build/tools/twchased --port=0 > /tmp/twchased_smoke.log 2>&1 &
