@@ -7,25 +7,22 @@
 // per workload the rounds, steps, trigger counts, wall milliseconds and the
 // peak instance size, plus the OFF/ON speedup.
 //
-// A second section sweeps the homomorphism-matching backend (columnar
-// join-based vs legacy per-atom backtracking) over trigger-heavy random
-// workloads, verifies backend parity, and records per-backend wall times,
-// speedups and the chase.match.* counters. A third section runs the
-// large-instance family (scaled transitive closure and a wide guarded
-// chain, each ≥100k atoms) columnar-only under a governor memory budget.
-// A fourth section sweeps the execution planner (--plan off/on) over the
-// core-chase workloads, verifies bit-parity, and records the planner stats
-// (reliance edges, strata, dormancy skips, still-core certificates) — the
-// staircase-core row backs the planner regression gate in tools/check.sh.
-// A fifth section measures daemon throughput: an in-process ChaseDaemon
+// A second section runs the large-instance family (scaled transitive
+// closure and a wide guarded chain, each ≥100k atoms) under a governor
+// memory budget. A third section sweeps the execution planner (--plan
+// off/on) over the core-chase workloads, verifies bit-parity, and records
+// the planner stats (reliance edges, strata, dormancy skips, still-core
+// certificates) — the staircase-core row backs the planner regression gate
+// in tools/check.sh.
+// A fourth section measures daemon throughput: an in-process ChaseDaemon
 // serving identical core-chase jobs over real HTTP at 1, 4 and 8 concurrent
 // tenants, reporting jobs/sec (submit-to-terminal) per tenant count and
 // verifying every job's final instance hash agrees.
-// A sixth section measures the termination-analysis preflight: wall time
+// A fifth section measures the termination-analysis preflight: wall time
 // and verdict per witness program (the paper's worlds plus twgen-generated
 // programs of every labeled class), failing on any misclassification — the
 // cost of --variant=auto is this sweep's headline number.
-// A seventh section measures resume latency: one staircase core run paused
+// A sixth section measures resume latency: one staircase core run paused
 // at 200, 800, 1600 and 3200 steps, going on by an in-memory Continue() and
 // by checkpoint → ResumeChase (median and quartiles of repeated samples).
 //
@@ -243,60 +240,7 @@ void AppendSide(std::string* json, const char* key,
 }
 
 // ---------------------------------------------------------------------------
-// Backend sweep and large-instance family.
-
-// Dense random digraph with the triangle-closure rule: the body is a
-// three-way self-join of e, so trigger enumeration dominates the run and
-// the matching backend is the variable under test.
-KnowledgeBase MakeDenseTriangles(int nodes, int edges, uint64_t seed) {
-  KbBuilder b;
-  Term x = b.V("X"), y = b.V("Y"), z = b.V("Z");
-  Rng rng(seed);
-  auto node = [&](int64_t i) { return b.C("n" + std::to_string(i)); };
-  for (int i = 0; i < edges; ++i) {
-    b.Fact("e", {node(rng.Uniform(0, nodes - 1)),
-                 node(rng.Uniform(0, nodes - 1))});
-  }
-  b.AddRule("tri", {b.A("e", {x, y}), b.A("e", {y, z}), b.A("e", {x, z})},
-            {b.A("tri", {x, z})});
-  return b.Build();
-}
-
-// Wide-tuple self-join over a ternary relation: each candidate check walks
-// three argument positions, so the per-candidate cost gap between columnar
-// integer compares and legacy term unification is at its widest.
-KnowledgeBase MakeWideJoin(int nodes, int facts, uint64_t seed) {
-  KbBuilder b;
-  Term x = b.V("X"), y = b.V("Y"), z = b.V("Z"), w = b.V("W");
-  Rng rng(seed);
-  auto node = [&](int64_t i) { return b.C("n" + std::to_string(i)); };
-  for (int i = 0; i < facts; ++i) {
-    b.Fact("r", {node(rng.Uniform(0, nodes - 1)),
-                 node(rng.Uniform(0, nodes - 1)),
-                 node(rng.Uniform(0, nodes - 1))});
-  }
-  b.AddRule("wj", {b.A("r", {x, y, z}), b.A("r", {z, y, w})},
-            {b.A("j", {x, w})});
-  return b.Build();
-}
-
-// Transitive closure of a dense random digraph. Recursive (t feeds its own
-// body), so unlike the join workloads above most wall time goes to trigger
-// revalidation and application rather than enumeration — kept in the sweep
-// as the honest Amdahl baseline for the backend comparison.
-KnowledgeBase MakeDenseTc(int nodes, int edges, uint64_t seed) {
-  KbBuilder b;
-  Term x = b.V("X"), y = b.V("Y"), z = b.V("Z");
-  Rng rng(seed);
-  auto node = [&](int64_t i) { return b.C("n" + std::to_string(i)); };
-  for (int i = 0; i < edges; ++i) {
-    b.Fact("e", {node(rng.Uniform(0, nodes - 1)),
-                 node(rng.Uniform(0, nodes - 1))});
-  }
-  b.AddRule("base", {b.A("e", {x, y})}, {b.A("t", {x, y})});
-  b.AddRule("step", {b.A("e", {x, y}), b.A("t", {y, z})}, {b.A("t", {x, z})});
-  return b.Build();
-}
+// Large-instance family.
 
 // `seeds` independent chains advanced by a 3-cycle of existential rules:
 // every round appends one fresh-null atom per chain, growing the instance
@@ -317,95 +261,7 @@ KnowledgeBase MakeWideGuardedChain(int seeds, int cycle) {
   return b.Build();
 }
 
-SweepMeasurement MeasureWithBackend(const SweepWorkload& workload,
-                                    MatchBackend backend, int repetitions,
-                                    Histogram* phase_ms) {
-  MatchBackend previous = CurrentMatchBackend();
-  SetMatchBackend(backend);
-  SweepMeasurement m =
-      MeasureChase(workload, /*delta_on=*/true, repetitions, phase_ms);
-  SetMatchBackend(previous);
-  return m;
-}
-
-void AppendBackendSide(std::string* json, const char* key,
-                       const SweepMeasurement& m) {
-  char buffer[512];
-  std::snprintf(buffer, sizeof(buffer),
-                "      \"%s\": {\"wall_ms\": %.3f, \"steps\": %zu, "
-                "\"rounds\": %zu, \"peak_atoms\": %zu, "
-                "\"index_probes\": %llu, \"column_scans\": %llu, "
-                "\"join_fallbacks\": %llu, \"index_builds\": %llu, "
-                "\"index_build_bytes\": %llu}",
-                key, m.wall_ms, m.result.steps, m.result.rounds,
-                m.result.stats.peak_instance_size,
-                static_cast<unsigned long long>(
-                    m.result.stats.match_index_probes),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_column_scans),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_join_fallbacks),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_index_builds),
-                static_cast<unsigned long long>(
-                    m.result.stats.match_index_build_bytes));
-  *json += buffer;
-}
-
-// Sweeps the matching backend over trigger-heavy workloads and returns the
-// "backend_sweep" JSON object (empty string on parity violation). Both
-// backends must produce the same run — the storage-equivalence suite pins
-// bit-identity; this is the coarse re-check on bench-scale inputs.
-std::string RunBackendSweep(MetricsRegistry* registry) {
-  std::vector<SweepWorkload> workloads;
-  workloads.push_back({"triangles-dense-400", ChaseVariant::kRestricted,
-                       2000000, [] { return MakeDenseTriangles(400, 32000, 19); }});
-  workloads.push_back({"wide-join-80", ChaseVariant::kRestricted, 2000000,
-                       [] { return MakeWideJoin(80, 40000, 17); }});
-  workloads.push_back({"transitive-closure-dense-200", ChaseVariant::kRestricted,
-                       2000000, [] { return MakeDenseTc(200, 1200, 7); }});
-
-  std::string json = "  \"backend_sweep\": {\n    \"workloads\": [\n";
-  std::printf("\n%-30s %10s %10s %10s\n", "workload", "legacy ms",
-              "columnar", "speedup");
-  for (size_t i = 0; i < workloads.size(); ++i) {
-    const SweepWorkload& workload = workloads[i];
-    SweepMeasurement legacy = MeasureWithBackend(
-        workload, MatchBackend::kLegacy, 2,
-        registry->GetHistogram("phase." + workload.name + ".legacy.wall_ms"));
-    SweepMeasurement columnar = MeasureWithBackend(
-        workload, MatchBackend::kColumnar, 2,
-        registry->GetHistogram("phase." + workload.name + ".columnar.wall_ms"));
-    if (legacy.result.steps != columnar.result.steps ||
-        legacy.result.rounds != columnar.result.rounds ||
-        !(legacy.result.derivation.Last() ==
-          columnar.result.derivation.Last())) {
-      std::fprintf(stderr, "PARITY VIOLATION on %s: backends disagree\n",
-                   workload.name.c_str());
-      return "";
-    }
-    double speedup =
-        columnar.wall_ms > 0 ? legacy.wall_ms / columnar.wall_ms : 0;
-    std::printf("%-30s %9.2f %9.2f %9.2fx\n", workload.name.c_str(),
-                legacy.wall_ms, columnar.wall_ms, speedup);
-    json += "      {\n        \"name\": \"" + workload.name + "\",\n";
-    json += "        \"variant\": \"";
-    json += ChaseVariantName(workload.variant);
-    json += "\",\n";
-    AppendBackendSide(&json, "legacy", legacy);
-    json += ",\n";
-    AppendBackendSide(&json, "columnar", columnar);
-    char buffer[80];
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\n      \"speedup_columnar_vs_legacy\": %.2f\n", speedup);
-    json += buffer;
-    json += (i + 1 < workloads.size()) ? "      },\n" : "      }\n";
-  }
-  json += "    ]\n  }";
-  return json;
-}
-
-// Runs the ≥100k-atom family columnar-only under a governor memory budget
+// Runs the ≥100k-atom family under a governor memory budget
 // and returns the "large_instance" JSON object (empty string when a run
 // fails or trips the budget — completing inside it is the acceptance bar).
 std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
@@ -416,8 +272,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
   workloads.push_back({"guarded-chain-wide-2600", ChaseVariant::kRestricted,
                        110000, [] { return MakeWideGuardedChain(2600, 3); }});
 
-  MatchBackend previous = CurrentMatchBackend();
-  SetMatchBackend(MatchBackend::kColumnar);
   std::string json = "  \"large_instance\": {\n";
   json += "    \"memory_budget_bytes\": " + std::to_string(kBudgetBytes) +
           ",\n    \"workloads\": [\n";
@@ -439,7 +293,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
       std::fprintf(stderr, "large-instance workload %s %s\n",
                    workload.name.c_str(),
                    run.ok() ? "tripped the memory budget" : "failed");
-      SetMatchBackend(previous);
       return "";
     }
     std::printf("%-30s %9.2f %10zu %10zu %14s\n", workload.name.c_str(),
@@ -462,7 +315,6 @@ std::string RunLargeInstanceSweep(MetricsRegistry* registry) {
     json += buffer;
     json += (i + 1 < workloads.size()) ? ",\n" : "\n";
   }
-  SetMatchBackend(previous);
   json += "    ]\n  }";
   return json;
 }
@@ -955,9 +807,6 @@ int RunDeltaSweep(const char* output_path) {
     json += (i + 1 < workloads.size()) ? "    },\n" : "    }\n";
   }
   json += "  ],\n";
-  std::string backend_sweep = RunBackendSweep(&registry);
-  if (backend_sweep.empty()) return 1;
-  json += backend_sweep + ",\n";
   std::string large_instance = RunLargeInstanceSweep(&registry);
   if (large_instance.empty()) return 1;
   json += large_instance + ",\n";

@@ -3,7 +3,6 @@
 #include <optional>
 #include <sstream>
 
-#include "hom/matcher.h"
 #include "obs/stock_observers.h"
 #include "parser/parser.h"
 #include "parser/printer.h"
@@ -15,30 +14,6 @@ const ChaseVariant kAllVariants[] = {
     ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
     ChaseVariant::kRestricted, ChaseVariant::kFrugal, ChaseVariant::kCore};
 
-struct Config {
-  MatchBackend backend = MatchBackend::kColumnar;
-  bool plan = true;
-
-  std::string Name() const {
-    std::ostringstream out;
-    out << "backend="
-        << (backend == MatchBackend::kColumnar ? "columnar" : "legacy")
-        << " plan=" << (plan ? "on" : "off");
-    return out.str();
-  }
-};
-
-// The sweep flips the process-global backend per run; restore the caller's
-// choice whatever happens.
-class BackendRestorer {
- public:
-  BackendRestorer() : saved_(CurrentMatchBackend()) {}
-  ~BackendRestorer() { SetMatchBackend(saved_); }
-
- private:
-  MatchBackend saved_;
-};
-
 struct RunOutput {
   bool ok = false;
   std::string error;
@@ -46,21 +21,20 @@ struct RunOutput {
   std::string events;
 };
 
-RunOutput RunConfig(const std::string& text, ChaseVariant variant,
-                    const Config& config, size_t max_steps) {
+RunOutput RunConfig(const std::string& text, ChaseVariant variant, bool plan,
+                    size_t max_steps) {
   RunOutput out;
   StatusOr<ParsedProgram> parsed = ParseProgram(text);
   if (!parsed.ok()) {
     out.error = "parse: " + parsed.status().ToString();
     return out;
   }
-  SetMatchBackend(config.backend);
   std::ostringstream events;
   EventLogObserver log(&events);
   ChaseOptions options;
   options.variant = variant;
   options.limits.max_steps = max_steps;
-  options.plan.enabled = config.plan;
+  options.plan.enabled = plan;
   options.observer = &log;
   StatusOr<ChaseResult> run = RunChase(parsed.value().kb, options);
   if (!run.ok()) {
@@ -107,24 +81,12 @@ std::optional<std::string> FirstDifference(const RunOutput& ref,
   return std::nullopt;
 }
 
-std::vector<Config> MakeConfigs(const SweepOptions& options) {
-  std::vector<Config> configs;
-  std::vector<MatchBackend> backends = {MatchBackend::kColumnar};
-  if (options.include_legacy_backend) {
-    backends.push_back(MatchBackend::kLegacy);
-  }
-  for (MatchBackend backend : backends) {
-    for (bool plan : {true, false}) configs.push_back({backend, plan});
-  }
-  return configs;
-}
-
-// Does `config` still diverge from the reference on this program text?
+// Does the unplanned run still diverge from the planned reference on this
+// program text?
 std::optional<std::string> Diverges(const std::string& text,
-                                    ChaseVariant variant, const Config& config,
-                                    size_t max_steps) {
-  RunOutput ref = RunConfig(text, variant, Config{}, max_steps);
-  RunOutput alt = RunConfig(text, variant, config, max_steps);
+                                    ChaseVariant variant, size_t max_steps) {
+  RunOutput ref = RunConfig(text, variant, /*plan=*/true, max_steps);
+  RunOutput alt = RunConfig(text, variant, /*plan=*/false, max_steps);
   return FirstDifference(ref, alt);
 }
 
@@ -132,7 +94,7 @@ std::optional<std::string> Diverges(const std::string& text,
 // each removal that preserves the divergence. Bounded by `budget` trial
 // pairs of runs.
 std::string Minimize(const std::string& text, ChaseVariant variant,
-                     const Config& config, size_t max_steps) {
+                     size_t max_steps) {
   StatusOr<ParsedProgram> parsed = ParseProgram(text);
   if (!parsed.ok()) return text;
   KnowledgeBase kb = std::move(parsed.value().kb);
@@ -149,7 +111,7 @@ std::string Minimize(const std::string& text, ChaseVariant variant,
         if (j != i) trial.rules.push_back(kb.rules[j]);
       }
       --budget;
-      if (Diverges(print(trial), variant, config, max_steps).has_value()) {
+      if (Diverges(print(trial), variant, max_steps).has_value()) {
         kb.rules = std::move(trial.rules);
         changed = true;
         break;
@@ -166,7 +128,7 @@ std::string Minimize(const std::string& text, ChaseVariant variant,
         if (j != i) trial.facts.Insert(facts[j]);
       }
       --budget;
-      if (Diverges(print(trial), variant, config, max_steps).has_value()) {
+      if (Diverges(print(trial), variant, max_steps).has_value()) {
         facts.erase(facts.begin() + static_cast<ptrdiff_t>(i));
         changed = true;
         break;
@@ -182,38 +144,28 @@ std::string Minimize(const std::string& text, ChaseVariant variant,
 
 SweepReport RunDifferentialSweep(const std::vector<std::string>& programs,
                                  const SweepOptions& options) {
-  BackendRestorer restore_backend;
   SweepReport report;
   std::vector<ChaseVariant> variants = options.variants;
   if (variants.empty()) {
     variants.assign(std::begin(kAllVariants), std::end(kAllVariants));
   }
-  const std::vector<Config> configs = MakeConfigs(options);
-
   for (const std::string& text : programs) {
     ++report.programs;
     for (ChaseVariant variant : variants) {
-      RunOutput ref = RunConfig(text, variant, Config{}, options.max_steps);
-      ++report.runs;
-      for (const Config& config : configs) {
-        if (config.backend == MatchBackend::kColumnar && config.plan) {
-          continue;  // that is the reference itself
-        }
-        RunOutput alt = RunConfig(text, variant, config, options.max_steps);
-        ++report.runs;
-        std::optional<std::string> diff = FirstDifference(ref, alt);
-        if (!diff.has_value()) continue;
-        SweepDivergence divergence;
-        divergence.program = text;
-        divergence.variant = variant;
-        divergence.config = config.Name();
-        divergence.detail = *diff;
-        divergence.minimized =
-            options.minimize
-                ? Minimize(text, variant, config, options.max_steps)
-                : text;
-        report.divergences.push_back(std::move(divergence));
-      }
+      RunOutput ref = RunConfig(text, variant, /*plan=*/true, options.max_steps);
+      RunOutput alt =
+          RunConfig(text, variant, /*plan=*/false, options.max_steps);
+      report.runs += 2;
+      std::optional<std::string> diff = FirstDifference(ref, alt);
+      if (!diff.has_value()) continue;
+      SweepDivergence divergence;
+      divergence.program = text;
+      divergence.variant = variant;
+      divergence.config = "plan=off";
+      divergence.detail = *diff;
+      divergence.minimized =
+          options.minimize ? Minimize(text, variant, options.max_steps) : text;
+      report.divergences.push_back(std::move(divergence));
     }
   }
   return report;

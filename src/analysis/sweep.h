@@ -1,10 +1,9 @@
 // Differential sweep harness: run a program across every chase variant ×
-// both match backends × plan on/off and cross-check bit-identity where the
-// engine guarantees it (for a fixed variant, every backend/plan
-// configuration must produce the same final instance,
-// derivation journal and observer event stream). Any divergence is
-// delta-minimized (greedy rule, then fact removal) into the smallest
-// program that still diverges, ready to pin as a regression test.
+// plan on/off and cross-check bit-identity where the engine guarantees it
+// (for a fixed variant, the planned and the unplanned run must produce the
+// same final instance, derivation journal and observer event stream). Any
+// divergence is delta-minimized (greedy rule, then fact removal) into the
+// smallest program that still diverges, ready to pin as a regression test.
 //
 // This is the semantic fuzzer behind `twgen --sweep` and the check.sh
 // smoke gate; the generator (analysis/generator.h) supplies labeled
@@ -25,10 +24,6 @@ struct SweepOptions {
   /// non-terminating programs must not stall the sweep.
   size_t max_steps = 40;
 
-  /// Also sweep the legacy per-atom match backend (the columnar backend is
-  /// always swept).
-  bool include_legacy_backend = true;
-
   /// Delta-minimize divergent programs before reporting.
   bool minimize = true;
 
@@ -45,7 +40,7 @@ struct SweepDivergence {
 
   ChaseVariant variant = ChaseVariant::kRestricted;
 
-  /// The diverging configuration, e.g. "backend=legacy plan=on".
+  /// The diverging configuration against the plan=on reference: "plan=off".
   std::string config;
 
   /// First differing field, e.g. "instance hash", "journal step 12".
@@ -60,8 +55,7 @@ struct SweepReport {
   bool clean() const { return divergences.empty(); }
 };
 
-/// Sweeps each program text (parsed freshly per run). The process-global
-/// match backend is saved and restored around the sweep.
+/// Sweeps each program text (parsed freshly per run).
 SweepReport RunDifferentialSweep(const std::vector<std::string>& programs,
                                  const SweepOptions& options = {});
 

@@ -298,7 +298,6 @@ struct ChaseSession::Run {
     MatchPlanEvent totals;
     totals.index_probes = load(match_counters.index_probes);
     totals.column_scans = load(match_counters.column_scans);
-    totals.join_fallbacks = load(match_counters.join_fallbacks);
     totals.index_builds = load(match_counters.index_builds);
     totals.index_build_bytes = load(match_counters.index_build_bytes);
     return totals;
@@ -315,12 +314,11 @@ struct ChaseSession::Run {
     plan.round = round;
     plan.index_probes = totals.index_probes - match_reported.index_probes;
     plan.column_scans = totals.column_scans - match_reported.column_scans;
-    plan.join_fallbacks = totals.join_fallbacks - match_reported.join_fallbacks;
     plan.index_builds = totals.index_builds - match_reported.index_builds;
     plan.index_build_bytes =
         totals.index_build_bytes - match_reported.index_build_bytes;
-    if (plan.index_probes + plan.column_scans + plan.join_fallbacks +
-            plan.index_builds + plan.index_build_bytes ==
+    if (plan.index_probes + plan.column_scans + plan.index_builds +
+            plan.index_build_bytes ==
         0) {
       return;
     }
@@ -969,8 +967,7 @@ struct ChaseSession::Run {
     if (obs != nullptr) {
       // Match-phase telemetry of the whole round (establishment through
       // application and coring). Emitted only when the round did match work,
-      // and skipped by the stock event log unless opted in, so event streams
-      // stay comparable across backends.
+      // and skipped by the stock event log unless opted in.
       EmitMatchPlanDelta(result.rounds);
       if (plan_on && round_plan.any()) {
         PlanEvent plan_event;
@@ -1006,7 +1003,6 @@ struct ChaseSession::Run {
     const MatchPlanEvent totals = MatchTotals();
     result.stats.match_index_probes = totals.index_probes;
     result.stats.match_column_scans = totals.column_scans;
-    result.stats.match_join_fallbacks = totals.join_fallbacks;
     result.stats.match_index_builds = totals.index_builds;
     result.stats.match_index_build_bytes = totals.index_build_bytes;
     if (budget_stop) {
@@ -1208,7 +1204,7 @@ Status ChaseSession::Resume(const ChaseCheckpoint& checkpoint) {
     return Status::FailedPrecondition(
         "resume: fingerprint mismatch — the checkpoint belongs to a "
         "different rule set or fact base, or was recorded under a different "
-        "--match-backend or --plan setting");
+        "--plan setting");
   }
   if (checkpoint.log.have_initial &&
       kb_->vocab->num_variables() != checkpoint.log.initial_num_variables) {

@@ -229,8 +229,7 @@ struct ChaseStats {
   double parallel_merge_ms = 0;
   size_t parallel_max_imbalance = 0;
 
-  /// Match-phase counters (columnar backend; all zero on the legacy
-  /// per-atom backend). Deterministic: each counter is a per-search total
+  /// Match-phase counters. Deterministic: each counter is a per-search total
   /// and index builds happen exactly once per stale-to-ready column
   /// transition.
   /// Sorted-column EqualRange lookups.
@@ -239,8 +238,7 @@ struct ChaseStats {
   /// Full-segment scans (pattern had no bound position to probe on).
   uint64_t match_column_scans = 0;
 
-  /// Searches that fell back to per-atom matching (injective or
-  /// vars-to-vars modes, mixed-arity predicates, legacy backend opt-out).
+  /// Always 0; goes once perfbench stops reading it.
   uint64_t match_join_fallbacks = 0;
 
   /// Lazy column-index (re)builds, and total sorted-row bytes they wrote.

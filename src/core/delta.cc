@@ -4,7 +4,7 @@ namespace twchase {
 
 void DeltaIndex::RecordInsert(const Atom& atom) {
   if (!inserted_seen_.insert(atom).second) return;
-  inserted_by_predicate_[atom.predicate()].push_back(inserted_.size());
+  inserted_positions_[atom.predicate()].push_back(inserted_.size());
   inserted_predicates_.insert(atom.predicate());
   inserted_.push_back(atom);
 }
@@ -22,8 +22,8 @@ void DeltaIndex::Absorb(AtomSet::Delta delta) {
 
 const std::vector<size_t>* DeltaIndex::InsertedWithPredicate(
     PredicateId predicate) const {
-  auto it = inserted_by_predicate_.find(predicate);
-  return it == inserted_by_predicate_.end() ? nullptr : &it->second;
+  auto it = inserted_positions_.find(predicate);
+  return it == inserted_positions_.end() ? nullptr : &it->second;
 }
 
 void DeltaIndex::Clear() {
@@ -31,7 +31,7 @@ void DeltaIndex::Clear() {
   erased_.clear();
   inserted_seen_.clear();
   erased_seen_.clear();
-  inserted_by_predicate_.clear();
+  inserted_positions_.clear();
   inserted_predicates_.clear();
   erased_predicates_.clear();
 }

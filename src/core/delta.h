@@ -69,7 +69,8 @@ class DeltaIndex {
   std::vector<Atom> erased_;
   std::unordered_set<Atom, AtomHash> inserted_seen_;
   std::unordered_set<Atom, AtomHash> erased_seen_;
-  std::unordered_map<PredicateId, std::vector<size_t>> inserted_by_predicate_;
+  // Per predicate, the positions of its atoms in inserted_.
+  std::unordered_map<PredicateId, std::vector<size_t>> inserted_positions_;
   std::unordered_set<PredicateId> inserted_predicates_;
   std::unordered_set<PredicateId> erased_predicates_;
 };

@@ -13,23 +13,10 @@ namespace twchase {
 
 namespace {
 
-// Backend switch, read once per search. Tests and benches flip it between
-// runs; relaxed is enough (no data is published through it).
-std::atomic<int> g_match_backend{static_cast<int>(MatchBackend::kColumnar)};
-
 // Ambient counters pointer, thread-local like the governor ambient.
 thread_local MatchCounters* g_match_counters = nullptr;
 
 }  // namespace
-
-void SetMatchBackend(MatchBackend backend) {
-  g_match_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
-}
-
-MatchBackend CurrentMatchBackend() {
-  return static_cast<MatchBackend>(
-      g_match_backend.load(std::memory_order_relaxed));
-}
 
 MatchCountersScope::MatchCountersScope(MatchCounters* counters)
     : previous_(g_match_counters) {
@@ -51,31 +38,23 @@ constexpr uint32_t kUnbound = 0xFFFFFFFFu;
 // (estimates, unification, rollback) is array access, not hashing.
 // Not reusable.
 //
-// Candidate generation has two backends. The columnar join path
-// (JoinCandidates) probes the target's per-predicate ColumnSegment: it picks
-// the probe column by the legacy path's exact smallest-posting heuristic,
-// binary-searches the lazily sorted column index for the bound image id, and
-// verifies the remaining bound columns / repeated-variable constraints /
-// forbidden term directly on the column cells. The legacy path
-// (LegacyCandidates) walks the filtered posting lists. Bit-identity between
-// the two holds because (a) atom selection (EstimateCandidates) is shared,
-// (b) segment rows order exactly as posting slots, so the join path emits
-// the unifying candidates in the legacy enumeration order, and (c) the
-// identity-first reorder below reproduces the legacy swap restricted to the
-// unifying candidates. Search() recursion — and with it governor polls and
-// fault-injection visit schedules at kHomNode — therefore runs the same
-// node sequence on both backends. See DESIGN.md §9 for the full argument.
+// Candidates come from one join path (JoinCandidates) over the target's
+// per-predicate ColumnSegment: it picks the probe column as the first strict
+// minimum of CountByTerm over the bound images, binary-searches the lazily
+// sorted column index for the bound image id, and verifies the remaining
+// bound columns / repeated-variable constraints / forbidden term directly
+// on the column cells; TryUnify adds only the injective and vars-to-vars
+// modes. The enumeration order is pinned to the historical per-atom posting
+// walk: segment rows are in ascending slot order, and the identity-first
+// reorder is that walk's swap projected onto the unifying candidates.
+// Search() recursion — and with it governor polls and fault-injection visit
+// schedules at kHomNode — therefore runs the pinned node sequence. See
+// DESIGN.md §9 for the full argument.
 class HomSearch {
  public:
   HomSearch(const AtomSet& pattern, const AtomSet& target,
             const HomOptions& options)
-      : target_(target), options_(options) {
-    backend_columnar_ = CurrentMatchBackend() == MatchBackend::kColumnar;
-    // Injective and vars-to-vars searches prune candidates through mutable
-    // search state (used_targets_); they keep the per-atom path.
-    join_enabled_ =
-        backend_columnar_ && !options.injective && !options.vars_to_vars;
-    counters_ = CurrentMatchCounters();
+      : target_(target), options_(options), counters_(CurrentMatchCounters()) {
     // Collect pattern atoms and build the local variable table.
     for (const Atom& atom : pattern.Atoms()) {
       PatAtom pat;
@@ -164,42 +143,28 @@ class HomSearch {
     return best * 4 + (3 - std::min<size_t>(bound_args, 3));
   }
 
-  // Candidate target atoms for `pat` under the current binding, in the
-  // order the legacy enumeration would attempt the ones that unify.
-  std::vector<const Atom*> Candidates(const PatAtom& pat) {
-    if (backend_columnar_) {
-      const ColumnSegment* segment =
-          join_enabled_ ? target_.SegmentFor(pat.predicate) : nullptr;
-      if (segment != nullptr && segment->arity() == pat.args.size()) {
-        return JoinCandidates(pat, *segment);
-      }
-      // A fallback worth counting: the predicate has atoms but the join
-      // path cannot serve it (injective/vars-to-vars mode, mixed arity, or
-      // a pattern/segment arity mismatch). An empty predicate is not a
-      // fallback — both paths answer with no candidates.
-      if (counters_ != nullptr &&
-          target_.CountByPredicate(pat.predicate) > 0) {
-        counters_->join_fallbacks.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    return LegacyCandidates(pat);
-  }
-
-  // Columnar path: one EqualRange probe on the most selective bound column
-  // (or a full segment scan when nothing is bound), then verification of
-  // every remaining constraint against the column cells. Emits exactly the
-  // candidates TryUnify would accept, in ascending slot order, then applies
-  // the legacy identity-first reorder restricted to that subsequence.
-  std::vector<const Atom*> JoinCandidates(const PatAtom& pat,
-                                          const ColumnSegment& seg) {
+  // Candidate target atoms for `pat` under the current binding: one
+  // EqualRange probe on the most selective bound column (or a full segment
+  // scan when nothing is bound), then verification of every remaining
+  // constraint against the column cells. Emits exactly the candidates that
+  // unify with `pat` under the current binding (TryUnify checks only the
+  // injective and vars-to-vars modes on top), in ascending slot order, then
+  // applies the pinned identity-first reorder to that subsequence. A
+  // predicate the target never stored, or stored at another arity, has no
+  // candidates.
+  std::vector<const Atom*> JoinCandidates(const PatAtom& pat) {
+    std::vector<const Atom*> out;
+    const ColumnSegment* segment = target_.SegmentFor(pat.predicate);
+    if (segment == nullptr || segment->arity() != pat.args.size()) return out;
+    const ColumnSegment& seg = *segment;
     const TermDictionary& dict = target_.dictionary();
     const size_t arity = pat.args.size();
     col_bound_.assign(arity, 0);
     col_ids_.assign(arity, TermDictionary::kNoId);
     col_vars_.assign(arity, kNotVar);
-    // Probe selection mirrors LegacyCandidates exactly (first strict
-    // minimum of CountByTerm over the bound images) so that the identity
-    // reorder below can reconstruct which posting the legacy path walked.
+    // The probe column is the first strict minimum of CountByTerm over the
+    // bound images, so that the identity reorder below can reconstruct which
+    // posting list the pinned order walks.
     std::optional<Term> best_term;
     size_t best_count = kInfinity;
     uint32_t probe_col = 0;
@@ -226,7 +191,6 @@ class HomSearch {
         probe_col = static_cast<uint32_t>(i);
       }
     }
-    std::vector<const Atom*> out;
     if (dead) return out;
     // Cells hold real ids, so comparing against kNoId (forbidden term not
     // in the dictionary) can never match — no extra guard needed.
@@ -284,12 +248,13 @@ class HomSearch {
         verify_and_admit(static_cast<uint32_t>(row));
       }
     }
-    // Identity-first, restricted to the unifying subsequence. The legacy
-    // swap moves the old head of its candidate list to the identity's
-    // position; projected onto the unifying candidates that is a swap when
-    // that head unifies, and a rotate of the identity to the front when it
-    // does not. With fewer than two unifying candidates any reorder is the
-    // identity permutation (also covering the legacy out.size() > 1 guard).
+    // Identity-first, restricted to the unifying subsequence. The pinned
+    // order walks one posting list (the probe term's, or the predicate's),
+    // filtered by the forbidden term, and swaps the identity candidate with
+    // that list's head; projected onto the unifying candidates that is a
+    // swap when the head unifies, and a rotate of the identity to the front
+    // when it does not. With fewer than two unifying candidates any reorder
+    // is the identity permutation.
     if (!options_.identity_first || out.size() < 2) return out;
     size_t identity_pos = out.size();
     for (size_t j = 0; j < out.size(); ++j) {
@@ -300,7 +265,8 @@ class HomSearch {
     }
     if (identity_pos == out.size() || identity_pos == 0) return out;
     const Atom* first_legacy = LegacyFirstCandidate(
-        pat, best_term, best_count <= target_.CountByPredicate(pat.predicate));
+        pat, seg, best_term,
+        best_count <= target_.CountByPredicate(pat.predicate));
     if (first_legacy == out[0]) {
       std::swap(out[0], out[identity_pos]);
     } else {
@@ -310,10 +276,11 @@ class HomSearch {
     return out;
   }
 
-  // The first element of the candidate list LegacyCandidates would have
-  // built (posting choice included), without materialising it. Used only to
+  // The head of the posting list the pinned order walks (the probe term's
+  // when it is no longer than the predicate's, else the predicate's
+  // segment rows), filtered by liveness and the forbidden term. Used only to
   // decide the identity reorder's swap-vs-rotate case.
-  const Atom* LegacyFirstCandidate(const PatAtom& pat,
+  const Atom* LegacyFirstCandidate(const PatAtom& pat, const ColumnSegment& seg,
                                    const std::optional<Term>& best_term,
                                    bool term_beats_predicate) const {
     auto admit = [&](const Atom& cand) {
@@ -331,10 +298,8 @@ class HomSearch {
       }
       return nullptr;
     }
-    const std::vector<AtomSet::Slot>* posting =
-        target_.PredicatePostingSlots(pat.predicate);
-    if (posting == nullptr) return nullptr;
-    for (AtomSet::Slot s : *posting) {
+    for (size_t row = 0; row < seg.rows(); ++row) {
+      const AtomSet::Slot s = seg.slot(row);
       if (!target_.SlotAlive(s)) continue;
       const Atom& cand = target_.SlotAtom(s);
       if (admit(cand)) return &cand;
@@ -342,61 +307,7 @@ class HomSearch {
     return nullptr;
   }
 
-  // Legacy path: the most selective posting available, filtered by the
-  // forbidden image term, with the identity candidate (if present) first —
-  // endomorphism-style searches then assign identity away from the conflict
-  // area and backtrack locally.
-  std::vector<const Atom*> LegacyCandidates(const PatAtom& pat) const {
-    std::optional<Term> best_term;
-    size_t best_count = kInfinity;
-    for (const Arg& arg : pat.args) {
-      Term image;
-      if (arg.var == kNotVar) {
-        image = arg.constant;
-      } else if (bound_[arg.var]) {
-        image = binding_[arg.var];
-      } else {
-        continue;
-      }
-      size_t count = target_.CountByTerm(image);
-      if (count < best_count) {
-        best_count = count;
-        best_term = image;
-      }
-    }
-    std::vector<const Atom*> out;
-    auto admit = [&](const Atom* cand) {
-      if (options_.forbidden_image_term.has_value() &&
-          AtomContains(*cand, *options_.forbidden_image_term)) {
-        return;
-      }
-      out.push_back(cand);
-    };
-    if (best_term.has_value() &&
-        best_count <= target_.CountByPredicate(pat.predicate)) {
-      for (const Atom* cand : target_.ByTerm(*best_term)) {
-        if (cand->predicate() == pat.predicate) admit(cand);
-      }
-    } else {
-      for (const Atom* cand : target_.ByPredicate(pat.predicate)) {
-        admit(cand);
-      }
-    }
-    if (options_.identity_first && out.size() > 1) {
-      // Identity-first: the candidate whose args equal the pattern's args
-      // under the current binding.
-      for (size_t i = 0; i < out.size(); ++i) {
-        if (IsIdentityCandidate(pat, *out[i])) {
-          std::swap(out[0], out[i]);
-          break;
-        }
-      }
-    }
-    return out;
-  }
-
   bool IsIdentityCandidate(const PatAtom& pat, const Atom& cand) const {
-    if (cand.args().size() != pat.args.size()) return false;
     for (size_t i = 0; i < pat.args.size(); ++i) {
       const Arg& arg = pat.args[i];
       Term expected = arg.var == kNotVar
@@ -408,22 +319,18 @@ class HomSearch {
     return true;
   }
 
-  // Bindings made by TryUnify go onto the shared trail_; RollbackTo(mark)
-  // undoes everything pushed after the mark. One growing vector instead of a
-  // fresh vector per search node.
+  // Binds the pattern atom's unbound variables to the candidate's images.
+  // JoinCandidates has already verified constants, bound variables and
+  // repeated variables on the column cells; left here are the constraints on
+  // the new images alone (vars-to-vars) or on mutable search state
+  // (injectivity). Bindings go onto the shared trail_; RollbackTo(mark)
+  // undoes everything pushed after the mark. One growing vector instead of
+  // a fresh vector per search node.
   bool TryUnify(const PatAtom& pat, const Atom& cand) {
-    if (cand.args().size() != pat.args.size()) return false;
     for (size_t i = 0; i < pat.args.size(); ++i) {
       const Arg& arg = pat.args[i];
+      if (arg.var == kNotVar || bound_[arg.var]) continue;
       Term image = cand.arg(i);
-      if (arg.var == kNotVar) {
-        if (arg.constant != image) return false;
-        continue;
-      }
-      if (bound_[arg.var]) {
-        if (binding_[arg.var] != image) return false;
-        continue;
-      }
       if (options_.vars_to_vars && image.is_constant()) return false;
       if (options_.injective) {
         if (used_targets_.contains(image)) return false;
@@ -485,7 +392,7 @@ class HomSearch {
     assigned_[chosen] = true;
     if (pat.focus) --remaining_focus_;
     bool stop = false;
-    for (const Atom* cand : Candidates(pat)) {
+    for (const Atom* cand : JoinCandidates(pat)) {
       size_t mark = trail_.size();
       if (TryUnify(pat, *cand)) {
         if (Search(remaining - 1)) {
@@ -513,8 +420,6 @@ class HomSearch {
   std::vector<uint32_t> trail_;
   std::unordered_set<Term, TermHash> used_targets_;
   std::vector<Substitution> results_;
-  bool backend_columnar_ = false;
-  bool join_enabled_ = false;
   MatchCounters* counters_ = nullptr;
   // JoinCandidates per-position plan, reused across nodes so the hot path
   // allocates nothing after warm-up.

@@ -1,6 +1,7 @@
 #include "model/atom_set.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "util/status.h"
 
@@ -10,12 +11,10 @@ AtomSet::AtomSet(const AtomSet& other)
     : slots_(other.slots_),
       alive_(other.alive_),
       index_(other.index_),
-      by_predicate_(other.by_predicate_),
-      live_by_predicate_(other.live_by_predicate_),
+      live_per_predicate_(other.live_per_predicate_),
       term_postings_(other.term_postings_),
       live_by_term_(other.live_by_term_),
       dict_(other.dict_),
-      mixed_arity_(other.mixed_arity_),
       live_count_(other.live_count_),
       dead_count_(other.dead_count_),
       generation_(other.generation_),
@@ -34,12 +33,11 @@ AtomSet& AtomSet::operator=(const AtomSet& other) {
   return *this;
 }
 
-// Indexes a freshly stored atom at `slot`: predicate posting, per-term
+// Indexes a freshly stored atom at `slot`: predicate counter, per-term
 // postings/counters (dictionary-id keyed) and the predicate's column
 // segment. Shared by Insert and the compaction rebuild.
 void AtomSet::IndexNewAtom(const Atom& atom, Slot slot) {
-  by_predicate_[atom.predicate()].push_back(slot);
-  ++live_by_predicate_[atom.predicate()];
+  ++live_per_predicate_[atom.predicate()];
   for (Term t : atom.DistinctTerms()) {
     TermId id = dict_.Intern(t);
     if (id >= term_postings_.size()) {
@@ -51,16 +49,14 @@ void AtomSet::IndexNewAtom(const Atom& atom, Slot slot) {
   }
   const uint32_t arity = static_cast<uint32_t>(atom.args().size());
   auto [it, created] = segments_.try_emplace(atom.predicate(), nullptr);
-  if (created) {
-    it->second = std::make_unique<ColumnSegment>(arity);
-  } else if (it->second->arity() != arity) {
-    mixed_arity_.insert(atom.predicate());
-  }
-  if (!mixed_arity_.contains(atom.predicate())) {
-    scratch_ids_.clear();
-    for (Term t : atom.args()) scratch_ids_.push_back(dict_.Intern(t));
-    it->second->Append(slot, scratch_ids_.data());
-  }
+  if (created) it->second = std::make_unique<ColumnSegment>(arity);
+  // Vocabulary rejects an arity clash at parse time and in MustPredicate;
+  // an Atom built around it would otherwise store a ragged row.
+  TWCHASE_CHECK_MSG(it->second->arity() == arity,
+                    "AtomSet: predicate inserted at a second arity");
+  scratch_ids_.clear();
+  for (Term t : atom.args()) scratch_ids_.push_back(dict_.Intern(t));
+  it->second->Append(slot, scratch_ids_.data());
 }
 
 bool AtomSet::Insert(const Atom& atom) { return Insert(Atom(atom)); }
@@ -86,7 +82,7 @@ bool AtomSet::Erase(const Atom& atom) {
   Slot slot = it->second;
   TWCHASE_CHECK(alive_[slot]);
   alive_[slot] = 0;
-  --live_by_predicate_[atom.predicate()];
+  --live_per_predicate_[atom.predicate()];
   for (Term t : slots_[slot].DistinctTerms()) {
     --live_by_term_[dict_.Find(t)];
   }
@@ -126,10 +122,11 @@ std::vector<Atom> AtomSet::Atoms() const {
 
 std::vector<const Atom*> AtomSet::ByPredicate(PredicateId predicate) const {
   std::vector<const Atom*> out;
-  auto it = by_predicate_.find(predicate);
-  if (it == by_predicate_.end()) return out;
-  out.reserve(it->second.size());
-  for (Slot s : it->second) {
+  const ColumnSegment* segment = SegmentFor(predicate);
+  if (segment == nullptr) return out;
+  out.reserve(segment->rows());
+  for (size_t row = 0; row < segment->rows(); ++row) {
+    Slot s = segment->slot(row);
     if (alive_[s]) out.push_back(&slots_[s]);
   }
   return out;
@@ -147,8 +144,8 @@ std::vector<const Atom*> AtomSet::ByTerm(Term term) const {
 }
 
 size_t AtomSet::CountByPredicate(PredicateId predicate) const {
-  auto it = live_by_predicate_.find(predicate);
-  return it == live_by_predicate_.end() ? 0 : it->second;
+  auto it = live_per_predicate_.find(predicate);
+  return it == live_per_predicate_.end() ? 0 : it->second;
 }
 
 size_t AtomSet::CountByTerm(Term term) const {
@@ -157,7 +154,6 @@ size_t AtomSet::CountByTerm(Term term) const {
 }
 
 const ColumnSegment* AtomSet::SegmentFor(PredicateId predicate) const {
-  if (mixed_arity_.contains(predicate)) return nullptr;
   auto it = segments_.find(predicate);
   return it == segments_.end() ? nullptr : it->second.get();
 }
@@ -166,12 +162,6 @@ const std::vector<AtomSet::Slot>* AtomSet::TermPostingSlots(Term term) const {
   TermId id = dict_.Find(term);
   if (id == TermDictionary::kNoId) return nullptr;
   return &term_postings_[id];
-}
-
-const std::vector<AtomSet::Slot>* AtomSet::PredicatePostingSlots(
-    PredicateId predicate) const {
-  auto it = by_predicate_.find(predicate);
-  return it == by_predicate_.end() ? nullptr : &it->second;
 }
 
 std::vector<Term> AtomSet::Terms() const {
@@ -254,10 +244,12 @@ uint64_t AtomSet::ContentHash() const {
 }
 
 size_t AtomSet::ApproxMemoryBytes() const {
-  // Per slot: the Atom object, its dedup-index entry, one predicate posting
-  // and the hash-map node overheads; per argument: the stored Term plus its
-  // per-term posting and live counter. The constants bake in typical
-  // libstdc++ node and vector growth overheads. On top of that, the columnar
+  // Per slot: the Atom object, its dedup-index entry and the hash-map node
+  // overheads; per argument: the stored Term plus its per-term posting and
+  // live counter. The constants bake in typical libstdc++ node and vector
+  // growth overheads. kPerSlotBytes still carries the share of a per-slot
+  // predicate posting the set no longer keeps: changing it would move the
+  // step at which every memory-governed run stops. On top of that, the columnar
   // layer is charged explicitly: dictionary tables plus per-segment column
   // data and resident sorted indexes (lazily built, so this estimate grows
   // when the matcher first probes a column — the governor sees what the
@@ -295,12 +287,11 @@ void AtomSet::CompactPostings() {
   dead_count_ = 0;
   ++compactions_;
   index_.clear();
-  by_predicate_.clear();
-  live_by_predicate_.clear();
+  live_per_predicate_.clear();
   for (std::vector<Slot>& posting : term_postings_) posting.clear();
   std::fill(live_by_term_.begin(), live_by_term_.end(), 0);
   // Segments are rebuilt in the new slot order; the dictionary is kept
-  // (append-only ids), and so is the sticky mixed-arity set.
+  // (append-only ids).
   segments_.clear();
   for (Slot s = 0; s < slots_.size(); ++s) {
     const Atom& atom = slots_[s];

@@ -1,18 +1,20 @@
 // AtomSet: a finite instance — a deduplicated set of atoms with secondary
 // indexes used by the homomorphism engine and the chase:
-//   * by predicate: all atoms with a given predicate symbol;
+//   * by predicate: each predicate's atoms, one ColumnSegment row per slot;
 //   * by term: all atoms mentioning a given term.
-// Storage is slot-based with tombstones so postings stay valid across erases;
-// postings are filtered on read and compacted when the dead fraction grows.
+// Storage is slot-based with tombstones so rows and postings stay valid
+// across erases; they are filtered on read and compacted when the dead
+// fraction grows.
 //
 // Columnar layer: every term is interned into a TermDictionary of dense
 // 32-bit ids, per-term postings and live counters are flat vectors indexed
-// by those ids, and each predicate's atoms are mirrored into a ColumnSegment
-// (arguments stored column-wise with lazily sorted position indexes). The
-// join-based matcher (hom/matcher.cc) probes the segments directly through
-// the accessors below; the row/slot order of a segment equals posting order,
-// which is what keeps the two matching paths bit-identical. Public API and
-// insertion-order iteration are unchanged from the pre-columnar AtomSet.
+// by those ids, and each predicate's atoms are stored in a ColumnSegment
+// (arguments column-wise, with lazily sorted position indexes). A predicate
+// has one arity per set; inserting an atom at a second arity is a checked
+// failure. The matcher (hom/matcher.cc) probes the segments directly
+// through the accessors below; segment rows are in ascending slot order,
+// which is what pins its enumeration order. Insertion-order iteration is
+// unchanged from the pre-columnar AtomSet.
 //
 // Delta hooks: a generation counter stamps every successful mutation, and an
 // opt-in delta journal records inserted/erased atoms until drained — the
@@ -26,7 +28,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "model/atom.h"
@@ -70,7 +71,7 @@ class AtomSet {
     }
   }
 
-  /// Live atoms with the given predicate.
+  /// Live atoms with the given predicate, in slot order.
   std::vector<const Atom*> ByPredicate(PredicateId predicate) const;
 
   /// Live atoms mentioning the given term.
@@ -156,19 +157,17 @@ class AtomSet {
   const TermDictionary& dictionary() const { return dict_; }
 
   /// The predicate's column segment, or null when the predicate was never
-  /// inserted or has been observed at more than one arity (the matcher then
-  /// falls back to the posting-based path).
+  /// inserted.
   const ColumnSegment* SegmentFor(PredicateId predicate) const;
 
   bool SlotAlive(Slot slot) const { return alive_[slot] != 0; }
   const Atom& SlotAtom(Slot slot) const { return slots_[slot]; }
 
-  /// Raw posting lists (ascending slots, tombstones included — callers
-  /// filter through SlotAlive). Null when the term/predicate is unknown.
-  /// Exposed so the join path can reproduce the legacy candidate head
-  /// without materialising a filtered vector.
+  /// Raw posting list (ascending slots, tombstones included — callers
+  /// filter through SlotAlive). Null when the term is unknown. Exposed so
+  /// the matcher can find the head of the pinned candidate order without
+  /// materialising a filtered vector.
   const std::vector<Slot>* TermPostingSlots(Term term) const;
-  const std::vector<Slot>* PredicatePostingSlots(PredicateId predicate) const;
 
  private:
   void MaybeCompact();
@@ -178,15 +177,13 @@ class AtomSet {
   std::vector<Atom> slots_;
   std::vector<uint8_t> alive_;
   std::unordered_map<Atom, Slot, AtomHash> index_;
-  std::unordered_map<PredicateId, std::vector<Slot>> by_predicate_;
-  std::unordered_map<PredicateId, size_t> live_by_predicate_;
+  std::unordered_map<PredicateId, size_t> live_per_predicate_;
   // Term-keyed tables are flat vectors indexed by dictionary id.
   std::vector<std::vector<Slot>> term_postings_;
   std::vector<size_t> live_by_term_;
   TermDictionary dict_;
   std::unordered_map<PredicateId, std::unique_ptr<ColumnSegment>> segments_;
-  std::unordered_set<PredicateId> mixed_arity_;  // sticky, survives compaction
-  std::vector<TermId> scratch_ids_;              // Insert's per-row id buffer
+  std::vector<TermId> scratch_ids_;  // Insert's per-row id buffer
   size_t live_count_ = 0;
   size_t dead_count_ = 0;
   uint64_t generation_ = 0;

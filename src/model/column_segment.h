@@ -10,9 +10,9 @@
 // readers filter rows through the owning AtomSet's liveness bitmap.
 //
 // Rows are appended in slot-insertion order and row ranks order exactly as
-// slot ranks, so an EqualRange probe enumerates candidates in the same
-// relative order as the legacy posting lists — the property the matcher's
-// bit-identity argument rests on (see hom/matcher.cc and DESIGN.md §9).
+// slot ranks, so an EqualRange probe enumerates candidates in ascending slot
+// order — the property the matcher's pinned enumeration order rests on (see
+// hom/matcher.cc and DESIGN.md §9).
 //
 // Thread-safety: Append follows the owning AtomSet's single-writer
 // discipline and must not race with probes. Concurrent EqualRange calls on a
@@ -51,9 +51,8 @@ class ColumnSegment {
   ColumnSegment& operator=(const ColumnSegment&) = delete;
 
   /// Appends one row. `slot` is the owning AtomSet's slot of the atom and
-  /// `args` its argument ids (args.size() == arity(), enforced by the
-  /// caller; a predicate observed with a different arity is routed to a
-  /// fresh mixed-arity marker instead, see AtomSet). The new row joins each
+  /// `args` its argument ids (args.size() == arity(), checked by the
+  /// caller, see AtomSet::IndexNewAtom). The new row joins each
   /// column's unsorted tail; probes absorb it either by scanning the tail
   /// or, once the tail outgrows kTailMergeThreshold, by merging.
   void Append(uint32_t slot, const TermId* args);

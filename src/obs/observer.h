@@ -122,14 +122,12 @@ struct CoreRetractionEvent {
 /// searches of the round resolved their candidate enumerations. Counter
 /// fields are deltas since the previous event, summed over every search the
 /// round ran (establishment, delta probes, application, coring). Pure
-/// telemetry: the legacy per-atom backend emits no such event but is
-/// otherwise bit-identical, so the stock EventLogObserver skips it unless
-/// explicitly opted in — event streams stay comparable across backends.
+/// telemetry: the stock EventLogObserver skips it unless explicitly opted
+/// in, so --events-out streams do not carry it.
 struct MatchPlanEvent {
   size_t round = 0;               // 1-based
   uint64_t index_probes = 0;      // sorted-column EqualRange lookups
   uint64_t column_scans = 0;      // full-segment scans (no bound position)
-  uint64_t join_fallbacks = 0;    // per-atom fallbacks (injective/mixed/...)
   uint64_t index_builds = 0;      // lazy column-index (re)builds
   uint64_t index_build_bytes = 0; // bytes of sorted rows written by builds
 };

@@ -106,7 +106,6 @@ MetricsObserver::MetricsObserver(MetricsRegistry* registry,
   core_folds_ = registry_->GetCounter("chase.core.folds");
   match_index_probes_ = registry_->GetCounter("chase.match.index_probes");
   match_column_scans_ = registry_->GetCounter("chase.match.column_scans");
-  match_join_fallbacks_ = registry_->GetCounter("chase.match.join_fallbacks");
   match_index_builds_ = registry_->GetCounter("chase.match.index_builds");
   match_index_build_bytes_ =
       registry_->GetCounter("chase.match.index_build_bytes");
@@ -177,7 +176,6 @@ void MetricsObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
 void MetricsObserver::OnMatchPlan(const MatchPlanEvent& event) {
   match_index_probes_->Increment(event.index_probes);
   match_column_scans_->Increment(event.column_scans);
-  match_join_fallbacks_->Increment(event.join_fallbacks);
   match_index_builds_->Increment(event.index_builds);
   match_index_build_bytes_->Increment(event.index_build_bytes);
 }
@@ -276,14 +274,12 @@ void EventLogObserver::OnCoreRetraction(const CoreRetractionEvent& event) {
 }
 
 void EventLogObserver::OnMatchPlan(const MatchPlanEvent& event) {
-  // Skipped by default: this event only fires on the columnar matching
-  // backend, and the event-stream bit-identity oracle compares logs
-  // between the columnar and legacy backends.
+  // Skipped by default, so the --events-out streams of the CLI and the
+  // daemon stay byte-identical (see the class comment).
   if (out_ == nullptr || !log_match_events_) return;
   *out_ << "{\"event\": \"match_plan\", \"round\": " << event.round
         << ", \"index_probes\": " << event.index_probes
         << ", \"column_scans\": " << event.column_scans
-        << ", \"join_fallbacks\": " << event.join_fallbacks
         << ", \"index_builds\": " << event.index_builds
         << ", \"index_build_bytes\": " << event.index_build_bytes << "}\n";
 }

@@ -88,8 +88,8 @@ struct MetricsObserverOptions {
 /// set from the first row. Instrument names:
 ///   counters   chase.triggers.{considered,applied,retired}
 ///              chase.delta.{repairs,inserted,erased,invalidated,seed_probes}
-///              chase.core.{retractions,folds,fallbacks}
-///              chase.match.{index_probes,column_scans,join_fallbacks}
+///              chase.core.{retractions,folds}
+///              chase.match.{index_probes,column_scans}
 ///              chase.match.{index_builds,index_build_bytes}
 ///              chase.plan.{enumerations_skipped,probes_skipped}
 ///              chase.plan.{core_proofs,core_certified}
@@ -98,10 +98,8 @@ struct MetricsObserverOptions {
 ///              chase.plan.active_strata
 ///              chase.treewidth.upper (treewidth_upper only)
 ///   histograms chase.round.pending, chase.step.added_atoms
-/// The chase.match.* instruments stay zero on the legacy matching backend
-/// and the chase.plan.* instruments stay zero with --plan=off; all are
-/// always registered so the column set does not depend on the backend or
-/// the planner.
+/// The chase.plan.* instruments stay zero with --plan=off; all instruments
+/// are always registered so the column set does not depend on the planner.
 class MetricsObserver : public ChaseObserver {
  public:
   MetricsObserver(MetricsRegistry* registry,
@@ -136,7 +134,6 @@ class MetricsObserver : public ChaseObserver {
   Counter* core_folds_;
   Counter* match_index_probes_;
   Counter* match_column_scans_;
-  Counter* match_join_fallbacks_;
   Counter* match_index_builds_;
   Counter* match_index_build_bytes_;
   Counter* plan_enumerations_skipped_;
@@ -158,10 +155,10 @@ class MetricsObserver : public ChaseObserver {
 ///   {"event": "round_begin", "round": 1, "pending": 5, "size": 4}
 /// The stream is append-only and flush-free; callers own the ostream.
 ///
-/// MatchPlanEvent is SKIPPED unless log_match_events is set: it only fires
-/// on the columnar matching backend, and logging it by default would break
-/// the bit-identity of event streams across backends (the oracle
-/// tests/storage_equivalence_test.cc relies on). PlanEvent is
+/// MatchPlanEvent is SKIPPED unless log_match_events is set: it is
+/// telemetry of how searches ran, and logging it by default would change
+/// the --events-out streams the CLI and the daemon have always written
+/// (the service tests compare the two byte for byte). PlanEvent is
 /// likewise SKIPPED unless log_plan_events is set: it only fires with
 /// --plan=on, and logging it by default would break the bit-identity of
 /// event streams across plan on/off (the oracle

@@ -597,7 +597,7 @@ void ChaseDaemon::RecoverFromStore() {
               CheckpointFingerprint(program->kb, record.request.options)) {
             unrecoverable = Status::FailedPrecondition(
                 "unrecoverable after restart: checkpoint fingerprint "
-                "mismatch (snapshot vs program/backend configuration)");
+                "mismatch (snapshot vs program/plan configuration)");
           } else {
             resume_text = SerializeCheckpoint(*checkpoint);
           }

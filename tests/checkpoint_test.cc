@@ -10,22 +10,10 @@
 
 #include "core/chase.h"
 #include "core/checkpoint.h"
-#include "hom/matcher.h"
 #include "kb/examples.h"
 
 namespace twchase {
 namespace {
-
-// Scoped backend switch: restores the previous backend even on test failure
-// so a failing case cannot poison the rest of the binary.
-struct BackendGuard {
-  explicit BackendGuard(MatchBackend backend)
-      : previous(CurrentMatchBackend()) {
-    SetMatchBackend(backend);
-  }
-  ~BackendGuard() { SetMatchBackend(previous); }
-  MatchBackend previous;
-};
 
 ChaseOptions RecordingOptions(ChaseVariant variant, size_t max_steps) {
   ChaseOptions options;
@@ -48,13 +36,14 @@ TEST(ProgramFingerprintTest, DeterministicAcrossFreshWorlds) {
 TEST(ProgramFingerprintTest, SensitiveToFactsAndRules) {
   StaircaseWorld a;
   uint64_t before = ProgramFingerprint(a.kb());
-  // Adding one fact changes the fingerprint.
+  // Adding one fact changes the fingerprint: an existing fact's predicate,
+  // at its own arity, over a fresh constant.
   KnowledgeBase more_facts = a.kb();
   Atom existing;
   more_facts.facts.ForEach([&](const Atom& atom) { existing = atom; });
-  std::vector<Term> args = existing.args();
-  args.push_back(args.empty() ? Term::Constant(0) : args.back());
-  more_facts.facts.Insert(Atom(existing.predicate(), std::move(args)));
+  const Term fresh = more_facts.vocab->Constant("fingerprint_test_fresh");
+  std::vector<Term> args(existing.args().size(), fresh);
+  ASSERT_TRUE(more_facts.facts.Insert(Atom(existing.predicate(), args)));
   EXPECT_NE(ProgramFingerprint(more_facts), before);
   // Dropping a rule changes the fingerprint.
   KnowledgeBase fewer_rules = a.kb();
@@ -63,6 +52,37 @@ TEST(ProgramFingerprintTest, SensitiveToFactsAndRules) {
   // Facts of a different family differ too.
   EXPECT_NE(ProgramFingerprint(MakeTransitiveClosure(3)),
             ProgramFingerprint(MakeTransitiveClosure(4)));
+}
+
+// Stored checkpoints and daemon manifests carry CheckpointFingerprint, so
+// its value is part of the on-disk format: these are absolute values, and
+// any change to what the fingerprint folds (including the constant 0 that
+// stands where the matcher's backend selector used to be) fails here before
+// it orphans a stored checkpoint.
+TEST(CheckpointFingerprintTest, PinnedToAbsoluteValues) {
+  StaircaseWorld world;
+  EXPECT_EQ(ProgramFingerprint(world.kb()), 0xafced2792a099c28ull);
+
+  ChaseOptions defaults;
+  EXPECT_EQ(CheckpointFingerprint(world.kb(), defaults), 0x294a045e654bb049ull);
+
+  ChaseOptions restricted;
+  restricted.variant = ChaseVariant::kRestricted;
+  EXPECT_EQ(CheckpointFingerprint(world.kb(), restricted),
+            0x294a045e654bb049ull);
+  ChaseOptions unplanned = restricted;
+  unplanned.plan.enabled = false;
+  EXPECT_EQ(CheckpointFingerprint(world.kb(), unplanned),
+            0x0a4f3d555a5c6628ull);
+
+  // --variant=auto resolved by the preflight to core-bts / the core chase.
+  ChaseOptions auto_variant;
+  auto_variant.preflight.auto_variant = true;
+  auto_variant.preflight.resolved = true;
+  auto_variant.preflight.verdict = 3;  // TerminationClass::kCoreBts
+  auto_variant.variant = ChaseVariant::kCore;
+  EXPECT_EQ(CheckpointFingerprint(world.kb(), auto_variant),
+            0xca69397c326de40full);
 }
 
 TEST(CheckpointFormatTest, SerializeParseRoundTrip) {
@@ -267,27 +287,17 @@ TEST(ResumeChaseTest, RejectsDifferentProgram) {
 }
 
 // Regression: the fingerprint used to cover only the program (facts and
-// rules), so a checkpoint recorded under --match-backend=columnar resumed
-// silently under legacy (and vice versa), and a planned recording resumed
-// unplanned. Both knobs are now folded into CheckpointFingerprint and
-// mismatches are rejected up front.
-TEST(ResumeChaseTest, RejectsMismatchedBackendAndPlanMode) {
+// rules), so a planned recording resumed unplanned. The planner switch is
+// now folded into CheckpointFingerprint and a mismatch is rejected up front.
+TEST(ResumeChaseTest, RejectsMismatchedPlanMode) {
   StaircaseWorld world;
   ChaseOptions options = RecordingOptions(ChaseVariant::kRestricted, 3);
   ChaseCheckpoint cp;
   {
-    BackendGuard record_as(MatchBackend::kColumnar);
     auto run = RunChase(world.kb(), options);
     ASSERT_TRUE(run.ok());
     StaircaseWorld fresh;
     cp = MakeCheckpoint(fresh.kb(), options, *run);
-  }
-  {
-    BackendGuard resume_as(MatchBackend::kLegacy);
-    StaircaseWorld target;
-    auto resumed = ResumeChase(target.kb(), options, cp);
-    EXPECT_FALSE(resumed.ok());
-    EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
   }
   {
     ChaseOptions wrong = options;

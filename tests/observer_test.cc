@@ -467,9 +467,6 @@ TEST(MetricsObserverTest, MatchCounterParityBetweenRegistryAndStats) {
     EXPECT_EQ(registry.GetCounter("chase.match.column_scans")->value(),
               stats.match_column_scans)
         << context;
-    EXPECT_EQ(registry.GetCounter("chase.match.join_fallbacks")->value(),
-              stats.match_join_fallbacks)
-        << context;
     EXPECT_EQ(registry.GetCounter("chase.match.index_builds")->value(),
               stats.match_index_builds)
         << context;

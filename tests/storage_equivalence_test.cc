@@ -1,14 +1,11 @@
-// Storage-equivalence oracle for the columnar matching backend (tentpole of
-// the columnar-storage PR): candidate generation over dictionary-encoded
-// ColumnSegments must be BIT-IDENTICAL to the legacy posting-list walk —
-// same final instance, same derivation journal, same observer event
-// stream — for every chase variant, on both worked example families. The
-// suite also unit-tests the two new model-layer
-// pieces (TermDictionary, ColumnSegment) and the AtomSet fallbacks the
-// matcher's join path relies on (mixed arity, compaction).
+// The columnar storage layer and the matcher's use of it: the chase.match.*
+// counters a run reports, unit tests of the model-layer pieces
+// (TermDictionary, ColumnSegment), and the AtomSet behaviour the matcher's
+// join path relies on (one arity per predicate, tombstones, compaction,
+// copies). The matcher's results are checked against a brute-force oracle
+// in tests/hom_oracle_test.cc.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,142 +15,26 @@
 #include "model/atom_set.h"
 #include "model/column_segment.h"
 #include "model/term_dictionary.h"
-#include "obs/observer.h"
-#include "obs/stock_observers.h"
 
 namespace twchase {
 namespace {
 
 // --------------------------------------------------------------------------
-// Backend bit-identity oracle.
-
-const ChaseVariant kAllVariants[] = {
-    ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
-    ChaseVariant::kRestricted, ChaseVariant::kFrugal, ChaseVariant::kCore};
-
-enum class Family { kStaircase, kElevator };
-
-KnowledgeBase FreshKb(Family family) {
-  // Fresh world per run so fresh-null minting starts from the same
-  // vocabulary state (construction is deterministic).
-  if (family == Family::kStaircase) return StaircaseWorld().kb();
-  return ElevatorWorld().kb();
-}
-
-std::string FamilyName(Family family) {
-  return family == Family::kStaircase ? "staircase" : "elevator";
-}
-
-// Scoped backend switch: restores the previous backend even on test failure
-// so a failing case cannot poison the rest of the binary.
-struct BackendGuard {
-  explicit BackendGuard(MatchBackend backend)
-      : previous(CurrentMatchBackend()) {
-    SetMatchBackend(backend);
-  }
-  ~BackendGuard() { SetMatchBackend(previous); }
-  MatchBackend previous;
-};
-
-struct RunOutput {
-  ChaseResult result;
-  std::string events;
-};
-
-RunOutput RunVariant(Family family, ChaseVariant variant, size_t max_steps,
-                     MatchBackend backend) {
-  BackendGuard guard(backend);
-  KnowledgeBase kb = FreshKb(family);
-  std::ostringstream events;
-  EventLogObserver log(&events);
-  ChaseOptions options;
-  options.variant = variant;
-  options.limits.max_steps = max_steps;
-  options.observer = &log;
-  auto run = RunChase(kb, options);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-  return {std::move(run).value(), events.str()};
-}
-
-// Step-by-step derivation journal equality: rule sequence, trigger
-// matches, simplifications, added atoms and every element F_i.
-void ExpectSameJournal(const Derivation& got, const Derivation& want,
-                       const std::string& context) {
-  ASSERT_EQ(got.size(), want.size()) << context;
-  DerivationCursor got_f(got), want_f(want);
-  for (size_t i = 0; i < got.size(); ++i, got_f.Next(), want_f.Next()) {
-    SCOPED_TRACE(context + ", step " + std::to_string(i));
-    const DerivationStep& g = got.step(i);
-    const DerivationStep& w = want.step(i);
-    EXPECT_EQ(g.rule_index, w.rule_index);
-    EXPECT_EQ(g.rule_label, w.rule_label);
-    EXPECT_EQ(g.match, w.match);
-    EXPECT_EQ(g.simplification, w.simplification);
-    EXPECT_EQ(g.added_atoms, w.added_atoms);
-    EXPECT_EQ(g.instance_size, w.instance_size);
-    EXPECT_EQ(got_f.instance().ContentHash(),
-              want_f.instance().ContentHash());
-  }
-}
-
-void ExpectBitIdentical(const RunOutput& got, const RunOutput& golden,
-                        const std::string& context) {
-  EXPECT_EQ(got.result.stop_reason, golden.result.stop_reason) << context;
-  EXPECT_EQ(got.result.steps, golden.result.steps) << context;
-  EXPECT_EQ(got.result.rounds, golden.result.rounds) << context;
-  EXPECT_EQ(got.result.derivation.Last().size(),
-            golden.result.derivation.Last().size())
-      << context;
-  EXPECT_EQ(got.result.derivation.Last().ContentHash(),
-            golden.result.derivation.Last().ContentHash())
-      << context;
-  ExpectSameJournal(got.result.derivation, golden.result.derivation, context);
-  EXPECT_EQ(got.events, golden.events) << context;
-}
-
-void SweepFamily(Family family, size_t max_steps) {
-  for (ChaseVariant variant : kAllVariants) {
-    RunOutput golden =
-        RunVariant(family, variant, max_steps, MatchBackend::kLegacy);
-    RunOutput run =
-        RunVariant(family, variant, max_steps, MatchBackend::kColumnar);
-    ExpectBitIdentical(
-        run, golden, FamilyName(family) + "/" + ChaseVariantName(variant));
-  }
-}
-
-TEST(BackendBitIdentity, AllVariantsStaircase) {
-  SweepFamily(Family::kStaircase, /*max_steps=*/16);
-}
-
-TEST(BackendBitIdentity, AllVariantsElevator) {
-  SweepFamily(Family::kElevator, /*max_steps=*/12);
-}
-
-// --------------------------------------------------------------------------
 // chase.match.* counters.
 
-TEST(MatchCountersTest, ColumnarRunsPopulateCountersLegacyStaysZero) {
-  RunOutput columnar =
-      RunVariant(Family::kStaircase, ChaseVariant::kRestricted,
-                 /*max_steps=*/16, MatchBackend::kColumnar);
-  EXPECT_GT(columnar.result.stats.match_index_probes +
-                columnar.result.stats.match_column_scans,
-            0u);
-  EXPECT_GT(columnar.result.stats.match_index_builds, 0u);
-  EXPECT_GT(columnar.result.stats.match_index_build_bytes, 0u);
-
-  RunOutput legacy =
-      RunVariant(Family::kStaircase, ChaseVariant::kRestricted,
-                 /*max_steps=*/16, MatchBackend::kLegacy);
-  EXPECT_EQ(legacy.result.stats.match_index_probes, 0u);
-  EXPECT_EQ(legacy.result.stats.match_column_scans, 0u);
-  EXPECT_EQ(legacy.result.stats.match_join_fallbacks, 0u);
-  EXPECT_EQ(legacy.result.stats.match_index_builds, 0u);
-  EXPECT_EQ(legacy.result.stats.match_index_build_bytes, 0u);
+TEST(MatchCountersTest, ChaseRunsPopulateCounters) {
+  StaircaseWorld world;
+  ChaseOptions options;
+  options.variant = ChaseVariant::kRestricted;
+  options.limits.max_steps = 16;
+  auto run = RunChase(world.kb(), options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GT(run->stats.match_index_probes + run->stats.match_column_scans, 0u);
+  EXPECT_GT(run->stats.match_index_builds, 0u);
+  EXPECT_GT(run->stats.match_index_build_bytes, 0u);
 }
 
-TEST(MatchCountersTest, InjectiveSearchFallsBackToLegacyPath) {
+TEST(MatchCountersTest, InjectiveSearchUsesTheJoinPath) {
   Vocabulary vocab;
   PredicateId p = vocab.MustPredicate("p", 2);
   Term a = vocab.Constant("a");
@@ -166,19 +47,13 @@ TEST(MatchCountersTest, InjectiveSearchFallsBackToLegacyPath) {
   AtomSet pattern;
   pattern.Insert(Atom(p, {x, y}));
 
-  BackendGuard guard(MatchBackend::kColumnar);
   MatchCounters counters;
   MatchCountersScope scope(&counters);
-
-  HomOptions plain;
-  plain.limit = 0;
-  EXPECT_EQ(FindAllHomomorphisms(pattern, target, plain).size(), 1u);
-  EXPECT_EQ(counters.join_fallbacks.load(), 0u);
-
-  HomOptions injective = plain;
+  HomOptions injective;
+  injective.limit = 0;
   injective.injective = true;
   EXPECT_EQ(FindAllHomomorphisms(pattern, target, injective).size(), 1u);
-  EXPECT_GT(counters.join_fallbacks.load(), 0u);
+  EXPECT_GT(counters.index_probes.load() + counters.column_scans.load(), 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -333,7 +208,7 @@ TEST(ColumnSegmentTest, CopiesDropIndexesButKeepRows) {
 }
 
 // --------------------------------------------------------------------------
-// AtomSet integration: segments, fallbacks, compaction.
+// AtomSet integration: segments, one arity per predicate, compaction.
 
 class AtomSetSegmentTest : public ::testing::Test {
  protected:
@@ -366,28 +241,15 @@ TEST_F(AtomSetSegmentTest, SegmentTracksInsertionsByPredicate) {
   EXPECT_EQ(seg->cell(1, 1), dict.Find(c_));
 }
 
-TEST_F(AtomSetSegmentTest, MixedArityPredicateOptsOutOfColumnarStorage) {
-  // Atom does not enforce the declared arity, so a predicate can show up
-  // with two widths; such predicates permanently fall back to the per-atom
-  // path (SegmentFor == nullptr) rather than storing ragged rows.
+TEST_F(AtomSetSegmentTest, SecondArityForAPredicateIsACheckFailure) {
+  // Atom does not enforce the declared arity, so a caller can build one
+  // that gives a predicate a second width. Vocabulary rejects that clash at
+  // parse time; an AtomSet refuses it rather than store a ragged row.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   AtomSet s;
   s.Insert(Atom(p_, {a_, b_}));
   ASSERT_NE(s.SegmentFor(p_), nullptr);
-  s.Insert(Atom(p_, {a_}));
-  EXPECT_EQ(s.SegmentFor(p_), nullptr);
-
-  // Matching still works through the fallback, counted as such.
-  BackendGuard guard(MatchBackend::kColumnar);
-  MatchCounters counters;
-  MatchCountersScope scope(&counters);
-  AtomSet pattern;
-  Term x = vocab_.NamedVariable("X");
-  Term y = vocab_.NamedVariable("Y");
-  pattern.Insert(Atom(p_, {x, y}));
-  HomOptions options;
-  options.limit = 0;
-  EXPECT_EQ(FindAllHomomorphisms(pattern, s, options).size(), 1u);
-  EXPECT_GT(counters.join_fallbacks.load(), 0u);
+  EXPECT_DEATH(s.Insert(Atom(p_, {a_})), "second arity");
 }
 
 TEST_F(AtomSetSegmentTest, EraseFiltersRowsAndCompactionRebuildsSegments) {
@@ -404,7 +266,6 @@ TEST_F(AtomSetSegmentTest, EraseFiltersRowsAndCompactionRebuildsSegments) {
   pattern.Insert(Atom(p_, {a_, x}));
   HomOptions options;
   options.limit = 0;
-  BackendGuard guard(MatchBackend::kColumnar);
   EXPECT_EQ(FindAllHomomorphisms(pattern, s, options).size(), 1u);
 
   // Drive the tombstone ratio past the internal compaction threshold
@@ -437,7 +298,6 @@ TEST_F(AtomSetSegmentTest, CopiedSetsMatchIdenticallyAndReportSameBytes) {
   pattern.Insert(Atom(p_, {x, y}));
   HomOptions options;
   options.limit = 0;
-  BackendGuard guard(MatchBackend::kColumnar);
   EXPECT_EQ(FindAllHomomorphisms(pattern, copy, options),
             FindAllHomomorphisms(pattern, s, options));
 

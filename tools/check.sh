@@ -7,19 +7,20 @@
 #   3. twgen gates: the label-soundness sweep (500 seeded programs — every
 #      fes label must terminate under every variant, every non-terminating
 #      label must diverge under every variant) and a seeded differential
-#      sweep smoke (all five variants × both match backends × plan on/off,
-#      bit-identity cross-checked per config);
+#      sweep smoke (all five variants × plan on/off, bit-identity
+#      cross-checked per variant);
 #   4. sanitizers: ASan+UBSan (TWCHASE_SANITIZE) build, then the delta, obs,
 #      robustness, columnar, plan, durability, session and analysis labelled
 #      suites under it (fault-injection, checkpoint/resume, pause/continue,
-#      the columnar storage layer, the planner's still-core guard, the
-#      torn-write/replay recovery paths and the preflight's sandboxed dynamic
-#      probes are exactly the code that must be memory-clean);
+#      the columnar storage layer and the matcher's brute-force oracle, the
+#      planner's still-core guard, the torn-write/replay recovery paths and
+#      the preflight's sandboxed dynamic probes are exactly the code that
+#      must be memory-clean);
 #   5. TSan: ThreadSanitizer build, then the obs, columnar, plan, service,
 #      session and analysis labelled suites under it to race-check the
 #      sharded metrics, the daemon's HTTP handler pool + job scheduler +
-#      preemption monitor, the session's cross-thread pause, and the sweep's
-#      backend switching;
+#      preemption monitor, and the session's cross-thread pause (the
+#      matcher keeps no process-wide state to race on);
 #   6. daemon smoke: start twchased on an ephemeral port, submit the bundled
 #      programs through twchase_client and diff the results against the CLI
 #      (modulo the wall-clock field) — the service path must render the
@@ -36,9 +37,8 @@
 #      fuzz harness (checkpoint + manifest parsers over the seed corpus of
 #      torn/truncated/bit-flipped artifacts) under the sanitizer build
 #      (libFuzzer with clang, the deterministic standalone driver with gcc);
-#   9. bench smoke: the full bench_engine sweep (delta, matching backends,
-#      large instances, planner, service throughput, the preflight sweep,
-#      resume latency)
+#   9. bench smoke: the full bench_engine sweep (delta, large instances,
+#      planner, service throughput, the preflight sweep, resume latency)
 #      under a generous wall-time ceiling — it fails on parity violations, a
 #      tripped memory budget, or a hang;
 #  10. planner regression gate: from the bench smoke artifact, the

@@ -21,9 +21,6 @@
 //     --deadline-ms=N      wall-clock budget (0 stops at the first boundary;
 //                          omit the flag for unlimited)
 //     --memory-budget-mb=N estimated-memory budget (0 = unlimited)
-//     --match-backend=columnar|legacy   homomorphism matching backend
-//                          (default: columnar; results are bit-identical
-//                          on either)
 //     --plan=on|off        trigger-graph execution planning: skip dormant
 //                          rules and prove cores still cores instead of
 //                          re-folding them (default: on; results are
@@ -78,7 +75,7 @@ int Usage(const char* argv0) {
                "[--measures] [--robust] [--analyze] [--trace] "
                "[--print-result] [--metrics-out=FILE] [--events-out=FILE] "
                "[--deadline-ms=N] [--memory-budget-mb=N] "
-               "[--match-backend=B] [--plan=on|off] [--checkpoint-out=FILE] "
+               "[--plan=on|off] [--checkpoint-out=FILE] "
                "[--resume-from=FILE] <program-file>\n",
                argv0);
   return 2;
@@ -106,7 +103,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     std::string arg = argv[i];
     twchase::flags::ArgMatcher m(arg);
     std::string variant_name;
-    std::string backend_name;
     std::string plan_mode;
     if (m.Value("--variant", &variant_name)) {
       if (variant_name == "auto") {
@@ -115,16 +111,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         std::fprintf(stderr, "unknown variant: %s (expected oblivious, semi, "
                      "restricted, frugal, core, or auto)\n",
                      variant_name.c_str());
-        return false;
-      }
-    } else if (m.Value("--match-backend", &backend_name)) {
-      if (backend_name == "columnar") {
-        twchase::SetMatchBackend(twchase::MatchBackend::kColumnar);
-      } else if (backend_name == "legacy") {
-        twchase::SetMatchBackend(twchase::MatchBackend::kLegacy);
-      } else {
-        std::fprintf(stderr, "unknown match backend: %s\n",
-                     backend_name.c_str());
         return false;
       }
     } else if (m.Value("--plan", &plan_mode)) {
